@@ -137,11 +137,14 @@ def _parse_dfas_graph(text: str) -> DfasInstance:
         raise ChainEffError("empty graph file")
     try:
         n, m = (int(x) for x in lines[0].split()[:2])
-        arcs = [tuple(int(x) for x in ln.split()[:2]) for ln in lines[1 : m + 1]]
+        arcs = [tuple(int(x) for x in ln.split()) for ln in lines[1 : m + 1]]
     except (ValueError, IndexError) as exc:
         raise ChainEffError(f"malformed graph file: {exc}") from exc
     if len(arcs) != m:
         raise ChainEffError(f"expected {m} arcs, found {len(arcs)}")
+    for arc in arcs:
+        if len(arc) != 2:
+            raise ChainEffError(f"arc line needs two integers, got {len(arc)}")
     return DfasInstance.from_arcs(n, arcs)
 
 
@@ -156,6 +159,7 @@ def _stats_doc(stats) -> dict:
         "peakResidentEntries": str(stats.peak_resident_entries),
         "totalDpUpdates": str(stats.total_dp_updates),
         "coverProductSize": str(stats.cover_product_size),
+        "wallTime": repr(stats.wall_time),
     }
 
 
@@ -250,7 +254,6 @@ def _solve_common(problem, args, inst=None) -> int:
     else:
         a = _load_setsystem(args)
         cfg = SolverConfig(
-            algorithm="chain-tradeoff",
             set_system=a,
             g=args.g,
             cover_strategy=args.strategy,
@@ -441,7 +444,6 @@ _VERIFIERS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="chaineff")
-    parser.add_argument("--threads", type=int, default=None, help="worker count hint")
     parser.add_argument(
         "--memory-budget",
         type=int,

@@ -609,4 +609,7 @@ def poset_from_text(text: str) -> Poset:
         raise InvalidInstance(f"malformed poset file: {exc}") from exc
     if len(covers) != m:
         raise InvalidInstance("poset file truncated")
+    for cover in covers:
+        if len(cover) != 2:
+            raise InvalidInstance(f"cover line needs two integers, got {len(cover)}")
     return Poset(n, covers)

@@ -145,7 +145,7 @@ def tsp_as_permutation_problem(inst: TspInstance) -> PermutationProblem:
     last_pos = n - 1
 
     def cost(prefix_mask: int, window: tuple):
-        j = bin(prefix_mask).count("1")
+        j = prefix_mask.bit_count()
         city = window[-1] + 1
         if j == 1:
             c = w[0][city]
@@ -163,16 +163,26 @@ def dfas_as_permutation_problem(inst: DfasInstance) -> PermutationProblem:
 
     Placing vertex v after S charges one unit per arc from v back into
     S, so the optimum over permutations is the minimum number of arcs
-    whose removal makes the digraph acyclic.
+    whose removal makes the digraph acyclic.  Each vertex's out-neighbours
+    are grouped by arc multiplicity into one bitmask per multiplicity;
+    v is never its own out-neighbour, so the prefix mask needs no
+    masking of v.
     """
     out: list[Counter] = [Counter() for _ in range(inst.n)]
     for u, v in inst.arcs:
         out[u][v] += 1
+    by_mult: list[tuple] = []
+    for counts in out:
+        masks: dict[int, int] = {}
+        for u, mult in counts.items():
+            masks[mult] = masks.get(mult, 0) | (1 << u)
+        by_mult.append(tuple(sorted(masks.items())))
 
     def cost(prefix_mask: int, window: tuple):
-        v = window[-1]
-        earlier = prefix_mask & ~(1 << v)
-        return sum(mult for u, mult in out[v].items() if (earlier >> u) & 1)
+        total = 0
+        for mult, mask in by_mult[window[-1]]:
+            total += mult * (prefix_mask & mask).bit_count()
+        return total
 
     return PermutationProblem(n=inst.n, degree=1, semiring=MIN_PLUS, cost_fn=cost)
 

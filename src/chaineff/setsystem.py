@@ -190,6 +190,8 @@ def setsystem_from_text(text: str) -> SetSystem:
             raise InvalidInstance(f"malformed member line {ln!r}") from exc
         mask = 0
         for e in elems:
+            if not 0 <= e < n:
+                raise InvalidInstance(f"member element {e} outside universe of size {n}")
             mask |= 1 << e
         members.append(mask)
     return SetSystem(n, members)

@@ -42,7 +42,6 @@ class SolveResult:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    algorithm: str = "chain-tradeoff"
     set_system: SetSystem | None = None
     g: int = 1
     cover_strategy: str = "greedy"  # or "random"
@@ -54,10 +53,16 @@ class SolverConfig:
 # ---------------------------------------------------------------------------
 # Shared restricted subset DP
 #
-# Table entries g(X, window) follow the degree-d recurrence: the window is
-# the ordered tuple of the last min(d, |X|) placed elements, every prefix
-# of a contributing order must be admissible, and a state whose parent
-# mask is inadmissible contributes the additive identity.
+# A state is (X, key): X is the set of placed elements and key the ordered
+# tuple of the last min(d - 1, |X|) of them, which is all that the next
+# step's window reads.  g(X, key) is the semiring sum, over the orders of X
+# that end in key and whose every prefix is admissible, of the product of
+# the local costs.  From the root g({}, ()) = one, placing ``last`` after
+# the state (X, pkey) charges cost_fn(X + last, pkey + (last,)) and lands
+# on (X + last, the last d - 1 elements of that window).  For d = 1 every
+# key is (), so the states are plain subsets; for d = 2 they are the
+# (subset, last city) states of Held-Karp.  Only admissible masks get a
+# row, so a missing parent row contributes the additive identity.
 
 
 def _subset_dp(
@@ -66,7 +71,6 @@ def _subset_dp(
     sr: Semiring,
     cost_fn,
     masks_by_popcount,
-    is_admissible,
     budget: int,
     stats: SolveStats,
     want_parents: bool,
@@ -74,82 +78,53 @@ def _subset_dp(
     """Run the DP; returns (table, parents).
 
     ``masks_by_popcount`` lists admissible masks per cardinality;
-    ``table[mask]`` maps window tuples to semiring values.  Entries equal
-    to the additive identity are not stored.
+    ``table[mask]`` maps keys to semiring values, and ``parents[mask]``
+    maps each key to the (last, parent key) step that produced its value.
+    Entries equal to the additive identity are not stored.
     """
-    d = degree
-    table: dict[int, dict[tuple, object]] = {}
-    parents: dict[tuple, int | None] = {}
-    resident = 0
-
-    def store(mask, window, value, parent):
-        nonlocal resident
-        if value == sr.zero:
-            return
-        row = table.setdefault(mask, {})
-        if window not in row:
-            resident += 1
-            if resident > budget:
-                raise ResourceLimit("DP table exceeds the memory budget")
-        row[window] = value
-        if want_parents:
-            parents[(mask, window)] = parent
-
-    # base layers: |X| <= d, window is the full ordering of X
-    for k in range(1, min(d, n) + 1):
+    keep = degree - 1
+    zero, add, mul = sr.zero, sr.add, sr.mul
+    table: dict[int, dict[tuple, object]] = {0: {(): sr.one}}
+    parents: dict[int, dict[tuple, tuple]] = {}
+    resident = 1
+    updates = 0
+    for k in range(1, n + 1):
         for mask in masks_by_popcount[k]:
-            elems = []
+            row = {}
+            prow = {}
             rest = mask
             while rest:
-                elems.append((rest & -rest).bit_length() - 1)
-                rest &= rest - 1
-            for sigma in permutations(elems):
-                prefix = 0
-                value = sr.one
-                ok = True
-                for j, v in enumerate(sigma, start=1):
-                    prefix |= 1 << v
-                    if not is_admissible(prefix):
-                        ok = False
-                        break
-                    value = sr.mul(value, cost_fn(prefix, sigma[:j]))
-                    stats.total_dp_updates += 1
-                if ok:
-                    store(mask, sigma, value, None)
-
-    for k in range(d + 1, n + 1):
-        for mask in masks_by_popcount[k]:
-            cost_cache = {}
-            elems = []
-            rest = mask
-            while rest:
-                elems.append((rest & -rest).bit_length() - 1)
-                rest &= rest - 1
-            for last in elems:
-                prev_mask = mask & ~(1 << last)
-                prev_row = table.get(prev_mask)
+                bit = rest & -rest
+                rest ^= bit
+                prev_row = table.get(mask ^ bit)
                 if prev_row is None:
                     continue
-                for pwindow, pvalue in prev_row.items():
-                    window = pwindow[1:] + (last,)
-                    if last in pwindow:
-                        continue
-                    step = cost_cache.get(window)
-                    if step is None:
-                        step = cost_fn(mask, window)
-                        cost_cache[window] = step
-                    cand = sr.mul(pvalue, step)
-                    stats.total_dp_updates += 1
-                    row = table.get(mask)
-                    current = row.get(window) if row else None
+                last = bit.bit_length() - 1
+                for pkey, pvalue in prev_row.items():
+                    window = pkey + (last,)
+                    cand = mul(pvalue, cost_fn(mask, window))
+                    updates += 1
+                    key = window[-keep:] if keep else ()
+                    current = row.get(key)
                     if current is None:
-                        store(mask, window, cand, pwindow[0] if want_parents else None)
+                        if cand == zero:
+                            continue
+                        resident += 1
+                        if resident > budget:
+                            raise ResourceLimit("DP table exceeds the memory budget")
+                        row[key] = cand
+                        if want_parents:
+                            prow[key] = (last, pkey)
                     else:
-                        merged = sr.add(current, cand)
+                        merged = add(current, cand)
+                        row[key] = merged
                         if want_parents and merged == cand and merged != current:
-                            store(mask, window, merged, pwindow[0])
-                        else:
-                            row[window] = merged
+                            prow[key] = (last, pkey)
+            if row:
+                table[mask] = row
+                if want_parents:
+                    parents[mask] = prow
+    stats.total_dp_updates += updates
     stats.peak_resident_entries = max(stats.peak_resident_entries, resident)
     return table, parents
 
@@ -159,28 +134,24 @@ def _final_value(table, full_mask, sr):
     if not row:
         return sr.zero, None
     best_val = sr.zero
-    best_win = None
-    for window, value in row.items():
+    best_key = None
+    for key, value in row.items():
         merged = sr.add(best_val, value)
-        if best_win is None or (merged == value and merged != best_val):
-            best_win = window
+        if best_key is None or (merged == value and merged != best_val):
+            best_key = key
         best_val = merged
-    return best_val, best_win
+    return best_val, best_key
 
 
-def _reconstruct(table, parents, full_mask, window, sr):
-    """Walk parent pointers back to a base state; the base window is the
-    full prefix ordering."""
+def _reconstruct(parents, full_mask, key):
+    """Walk parent pointers from (full_mask, key) back to the empty set."""
     mask = full_mask
-    suffix = []
-    while (mask, window) in parents and parents[(mask, window)] is not None:
-        prev_elem = parents[(mask, window)]
-        last = window[-1]
-        suffix.append(last)
-        mask &= ~(1 << last)
-        window = (prev_elem,) + window[:-1]
-    suffix.extend(reversed(window))
-    return tuple(reversed(suffix))
+    order = []
+    while mask:
+        last, key = parents[mask][key]
+        order.append(last)
+        mask ^= 1 << last
+    return tuple(reversed(order))
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +167,22 @@ def solve_held_karp(
     t0 = time.monotonic()
     masks_by_popcount = [[] for _ in range(n + 1)]
     for mask in range(1 << n):
-        masks_by_popcount[bin(mask).count("1")].append(mask)
+        masks_by_popcount[mask.bit_count()].append(mask)
     table, parents = _subset_dp(
         n,
         problem.degree,
         problem.semiring,
         problem.cost_fn,
         masks_by_popcount,
-        lambda _mask: True,
         memory_budget,
         stats,
         want_parents=True,
     )
-    value, window = _final_value(table, (1 << n) - 1, problem.semiring)
+    full_mask = (1 << n) - 1
+    value, key = _final_value(table, full_mask, problem.semiring)
     witness = None
-    if window is not None and value != problem.semiring.zero:
-        witness = _reconstruct(table, parents, (1 << n) - 1, window, problem.semiring)
+    if key is not None and value != problem.semiring.zero:
+        witness = _reconstruct(parents, full_mask, key)
     stats.wall_time = time.monotonic() - t0
     return SolveResult(value=value, witness=witness, stats=stats)
 
@@ -306,7 +277,7 @@ def _padded_cost_fn(problem: PermutationProblem, n_padded: int):
     clean = (1 << n) - 1
 
     def padded(mask, window):
-        j = bin(mask).count("1")
+        j = mask.bit_count()
         if j > n:
             return sr.one if window[-1] == j - 1 else sr.zero
         if mask & ~clean:
@@ -360,54 +331,44 @@ def solve_chain_tradeoff(problem: PermutationProblem, cfg: SolverConfig) -> Solv
     n = problem.n
     s = ceil(n / gn)
     n_padded = gn * s
+    t0 = time.monotonic()
     cover = _build_cover(system, cfg)
     if not cover.certified:
         raise ResourceLimit("cover could not be certified")
 
     stats = SolveStats()
     stats.cover_product_size = len(cover) ** s
-    t0 = time.monotonic()
     padded_cost = _padded_cost_fn(problem, n_padded)
-    chunk_mask = (1 << gn) - 1
+    full_mask = (1 << n_padded) - 1
 
     chunk_filters = {perm: _group_chunk_filter(perm, system) for perm in cover.perms}
 
     def run_tuple(perm_tuple, want_parents):
-        filters = [chunk_filters[perm] for perm in perm_tuple]
-
-        def admissible(mask):
-            for i in range(s):
-                if (mask >> (i * gn)) & chunk_mask not in filters[i]:
-                    return False
-            return True
-
         # admissible masks = products of allowed chunks per group
         masks = [0]
-        for i in range(s):
+        for i, perm in enumerate(perm_tuple):
             shift = i * gn
-            allowed = sorted(filters[i])
+            allowed = sorted(chunk_filters[perm])
             masks = [m | (c << shift) for m in masks for c in allowed]
         masks_by_popcount = [[] for _ in range(n_padded + 1)]
         for m in masks:
-            masks_by_popcount[bin(m).count("1")].append(m)
-        table, parents = _subset_dp(
+            masks_by_popcount[m.bit_count()].append(m)
+        return _subset_dp(
             n_padded,
             problem.degree,
             sr,
             padded_cost,
             masks_by_popcount,
-            admissible,
             cfg.memory_budget,
             stats,
             want_parents=want_parents,
         )
-        return table, parents
 
     best_value = sr.zero
     best_tuple = None
     for perm_tuple in product(cover.perms, repeat=s):
         table, _ = run_tuple(perm_tuple, want_parents=False)
-        value, _ = _final_value(table, (1 << n_padded) - 1, sr)
+        value, _ = _final_value(table, full_mask, sr)
         merged = sr.add(best_value, value)
         if best_tuple is None or (merged == value and merged != best_value):
             best_tuple = perm_tuple
@@ -418,9 +379,8 @@ def solve_chain_tradeoff(problem: PermutationProblem, cfg: SolverConfig) -> Solv
         # re-run the winning tuple with parent tracking; keeps the sweep's
         # peak space free of parent pointers
         table, parents = run_tuple(best_tuple, want_parents=True)
-        value, window = _final_value(table, (1 << n_padded) - 1, sr)
-        if window is not None:
-            padded_sigma = _reconstruct(table, parents, (1 << n_padded) - 1, window, sr)
-            witness = tuple(v for v in padded_sigma[:n])
+        _, key = _final_value(table, full_mask, sr)
+        if key is not None:
+            witness = _reconstruct(parents, full_mask, key)[:n]
     stats.wall_time = time.monotonic() - t0
     return SolveResult(value=best_value, witness=witness, stats=stats)

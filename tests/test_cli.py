@@ -15,6 +15,12 @@ def run_json(capsys, argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 class TestCount:
     def test_builtin_matchcomp(self, capsys):
         code, doc = run_json(capsys, ["count", "ideals", "--builtin", "matchcomp:4"])
@@ -41,6 +47,13 @@ class TestCount:
     def test_malformed_builtin_exit_2(self, capsys):
         assert run(["count", "ideals", "--builtin", "circulant:xyz"]) == 2
 
+    @pytest.mark.parametrize("cover_line", ["0 1 2", "1"])
+    def test_malformed_cover_line_exit_2(self, capsys, tmp_path, cover_line):
+        f = tmp_path / "p.txt"
+        f.write_text(f"3 2\n0 1\n{cover_line}\n")
+        assert run(["count", "ideals", "--poset", str(f)]) == 2
+        assert_one_line_error(capsys)
+
 
 class TestEfficiencyAndChains:
     def test_tower_efficiency(self, capsys):
@@ -55,6 +68,13 @@ class TestEfficiencyAndChains:
     def test_chains_tower(self, capsys):
         code, doc = run_json(capsys, ["chains", "--builtin", "tower:3:2"])
         assert code == 0 and doc["value"] == "36"
+
+    @pytest.mark.parametrize("member", ["-1", "3", "0 7"])
+    def test_member_outside_universe_exit_2(self, capsys, tmp_path, member):
+        f = tmp_path / "a.txt"
+        f.write_text(f"3 3\n-\n{member}\n0 1 2\n")
+        assert run(["efficiency", "--setsystem", str(f)]) == 2
+        assert_one_line_error(capsys)
 
 
 class TestCover:
@@ -85,12 +105,20 @@ class TestSolve:
         )
         assert code == 0 and doc["value"] == "14"
         assert doc["witness"] is not None
+        assert float(doc["stats"]["wallTime"]) >= 0.0
 
     def test_dfas(self, capsys, tmp_path):
         f = tmp_path / "g.txt"
         f.write_text("3 3\n0 1\n1 2\n2 0\n")
         code, doc = run_json(capsys, ["solve", "dfas", "--graph", str(f), "--algo", "held-karp"])
         assert code == 0 and doc["value"] == "1"
+
+    @pytest.mark.parametrize("arc_line", ["0", "0 1 2"])
+    def test_malformed_arc_line_exit_2(self, capsys, tmp_path, arc_line):
+        f = tmp_path / "g.txt"
+        f.write_text(f"3 2\n0 1\n{arc_line}\n")
+        assert run(["solve", "dfas", "--graph", str(f), "--algo", "held-karp"]) == 2
+        assert_one_line_error(capsys)
 
     def test_malformed_matrix_exit_2(self, tmp_path):
         f = tmp_path / "bad.txt"

@@ -134,6 +134,22 @@ class TestDfasInstance:
         prob = dfas_as_permutation_problem(inst)
         assert brute_force_optimum(prob) == brute_dfas(n, arcs)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_parallel_arcs_match_oracle(self, seed):
+        # each arc is repeated one to three times; the cost counts every copy
+        rng = random.Random(150 + seed)
+        n = rng.randint(3, 6)
+        arcs = [
+            (i, j)
+            for i in range(n)
+            for j in range(n)
+            if i != j and rng.random() < 0.4
+            for _ in range(rng.randint(1, 3))
+        ]
+        inst = DfasInstance.from_arcs(n, arcs)
+        prob = dfas_as_permutation_problem(inst)
+        assert brute_force_optimum(prob) == brute_dfas(n, arcs)
+
 
 class TestEvaluation:
     def test_rejects_non_bijection(self):

@@ -1,14 +1,18 @@
 """Solver equivalence, witnesses, and space accounting."""
 
 import random
-from math import ceil, log2
+import time
+from itertools import permutations
+from math import ceil, comb, factorial, log2, perm
 
 import pytest
 
+from chaineff.cover import greedy_cover
 from chaineff.errors import InvalidInstance, UnsupportedSemiring
 from chaineff.poset import make_matching_complement
 from chaineff.semiring import (
     INF,
+    MIN_PLUS,
     SUM_PRODUCT,
     DfasInstance,
     PermutationProblem,
@@ -174,3 +178,74 @@ class TestChainTradeoff:
         prob = tsp_as_permutation_problem(inst)
         res = solve_held_karp(prob)
         assert res.value == brute_force_optimum(prob)
+
+
+def table_problem(rng, n, degree):
+    """A min-plus problem whose costs come from random tables.
+
+    The cost of a step is a[window] + b[prefix mask]; about one window in
+    ten costs INF, so some orders are forbidden outright.
+    """
+    a = {}
+    for r in range(1, degree + 1):
+        for window in permutations(range(n), r):
+            a[window] = INF if rng.random() < 0.1 else rng.randint(0, 30)
+    b = [rng.randint(0, 5) for _ in range(1 << n)]
+    return PermutationProblem(
+        n=n, degree=degree, semiring=MIN_PLUS, cost_fn=lambda m, w: a[w] + b[m]
+    )
+
+
+class TestStateSpace:
+    """The DP keys a state by its mask and the last d-1 placed elements."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_table_costs_match_brute_force(self, seed):
+        rng = random.Random(600 + seed)
+        degree = 1 + seed % 4
+        prob = table_problem(rng, rng.randint(3, 6), degree)
+        ref = brute_force_optimum(prob)
+        results = [solve_held_karp(prob)]
+        for a in (full_power_set(3), tower_of_cubes(2, 2)):
+            results.append(solve_chain_tradeoff(prob, SolverConfig(set_system=a, g=1)))
+        for res in results:
+            assert res.value == ref
+            if ref == INF:
+                assert res.witness is None
+            else:
+                assert evaluate_permutation(prob, res.witness) == ref
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_unit_sum_product_counts_every_order_once(self, degree):
+        prob = PermutationProblem(
+            n=6, degree=degree, semiring=SUM_PRODUCT, cost_fn=lambda m, w: 1
+        )
+        assert solve_held_karp(prob).value == factorial(6)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_held_karp_entries(self, degree):
+        n = 7
+        prob = PermutationProblem(n=n, degree=degree, semiring=MIN_PLUS, cost_fn=lambda m, w: 1)
+        expect = 1 + sum(comb(n, k) * perm(k, min(k, degree - 1)) for k in range(1, n + 1))
+        assert solve_held_karp(prob).stats.peak_resident_entries == expect
+
+
+class TestWallTime:
+    def test_tradeoff_wall_time_covers_the_cover_build(self, monkeypatch):
+        import chaineff.solver as solver_mod
+
+        built = []
+
+        def slow_greedy(system):
+            # the pause makes the cover build outlast the sweep itself
+            t0 = time.monotonic()
+            time.sleep(0.05)
+            cover = greedy_cover(system)
+            built.append(time.monotonic() - t0)
+            return cover
+
+        monkeypatch.setattr(solver_mod, "greedy_cover", slow_greedy)
+        prob = tsp_as_permutation_problem(TspInstance.from_matrix(FOUR_CITY))
+        res = solve_chain_tradeoff(prob, SolverConfig(set_system=tower_of_cubes(2, 2), g=1))
+        assert len(built) == 1
+        assert res.stats.wall_time >= built[0]
