@@ -250,7 +250,7 @@ def _solve_common(problem, args, inst=None) -> int:
     if args.algo == "held-karp":
         result = solve_held_karp(problem, args.memory_budget)
     elif args.algo == "gs":
-        result = solve_gurevich_shelah(inst)
+        result = solve_gurevich_shelah(inst, args.memory_budget)
     else:
         a = _load_setsystem(args)
         cfg = SolverConfig(
@@ -523,6 +523,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_BAD_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.memory_budget < 1:
+            raise ChainEffError("--memory-budget must be at least 1 entry")
         return args.func(args)
     except ResourceLimit as exc:
         sys.stderr.write(f"resource limit: {exc}\n")

@@ -217,137 +217,127 @@ def enumerate_ideals(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):
     return out
 
 
-def _or_closure_sum(neighbor_masks, other_side_size):
+#: Entries in one block of an ideal kernel's working array (8 MB of
+#: uint64): big enough to amortise numpy's per-call cost, small enough to
+#: keep the kernels' memory flat.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def _check_budget(kernel: str, entries: int, memory_budget: int) -> None:
+    if entries > memory_budget:
+        raise ResourceLimit(
+            f"{kernel} needs {entries} resident entries, over the budget of {memory_budget}"
+        )
+
+
+def _neighbor_masks(side, other, adjacency):
+    """Bitmask, over positions in ``other``, of each element's neighbours."""
+    return [
+        sum(1 << i for i, u in enumerate(other) if adjacency[v] >> u & 1) for v in side
+    ]
+
+
+def _subset_ors(masks):
+    """The OR of every subset of ``masks``, indexed by the subset's bits."""
+    ors = np.zeros(1, dtype=np.uint64)
+    for nb in masks:
+        ors = np.concatenate([ors, ors | np.uint64(nb)])
+    return ors
+
+
+def _or_closure_sum(neighbor_masks, other_side_size, memory_budget):
     """Sum over all subsets S of 2^(K - |union of neighbor masks over S|).
 
-    Pure-Python for small sides, numpy (split high/low halves plus
-    popcount) for larger ones.
+    The subsets split into a low and a high half, whose ORs are enumerated
+    once each.  Every block of high ORs is merged with all the low ORs into
+    a histogram of union sizes, and one exact sum of hist[c] * 2^(K - c)
+    finishes the count.
     """
     s = len(neighbor_masks)
     k = other_side_size
-    if s <= 18:
-        ors = [0]
-        for nb in neighbor_masks:
-            ors += [v | nb for v in ors]
-        return sum(1 << (k - bin(v).count("1")) for v in ors)
     if s > 34:
         raise ResourceLimit(f"bipartite-sum side of {s} elements is too large")
     lo = s // 2
-    lo_arr = np.zeros(1, dtype=np.int64)
-    for nb in neighbor_masks[:lo]:
-        lo_arr = np.concatenate([lo_arr, lo_arr | np.int64(nb)])
-    hi_list = [0]
-    for nb in neighbor_masks[lo:]:
-        hi_list += [v | nb for v in hi_list]
-    total = 0
-    pc = np.empty_like(lo_arr)
-    for hv in hi_list:
-        merged = lo_arr | np.int64(hv)
-        np.bitwise_count(merged, out=pc, casting="same_kind")
-        total += int(np.sum(np.int64(1) << (np.int64(k) - pc), dtype=object))
-    return total
+    rows = min(1 << (s - lo), max(1, _BLOCK_ENTRIES >> lo))
+    _check_budget("bipartite-sum", (1 << lo) + (1 << (s - lo)) + (rows << lo), memory_budget)
+    lo_ors = _subset_ors(neighbor_masks[:lo])
+    hi_ors = _subset_ors(neighbor_masks[lo:])
+    hist = np.zeros(k + 1, dtype=np.int64)
+    for start in range(0, hi_ors.size, rows):
+        merged = hi_ors[start : start + rows, None] | lo_ors
+        hist += np.bincount(np.bitwise_count(merged).ravel(), minlength=k + 1)
+    return sum(int(count) << (k - c) for c, count in enumerate(hist))
 
 
-def _count_ideals_bipartite_sum(p: Poset) -> int:
+def _count_ideals_bipartite_sum(p: Poset, memory_budget: int) -> int:
     x_side, y_side = p.bipartition()
     # Iterate over the smaller side; the formula is symmetric: fixing the
     # chosen side's ideal part forces nothing, fixing the co-ideal part of
     # X (equivalently the ideal part of Y) leaves the rest free.
-    y_index = {v: i for i, v in enumerate(y_side)}
-    x_index = {v: i for i, v in enumerate(x_side)}
     if len(x_side) <= len(y_side):
         # sum over X' subseteq X of 2^{|Y \ N(X')|}
-        masks = []
-        for x in x_side:
-            nb = 0
-            for y in y_side:
-                if p.cover_up[x] >> y & 1:
-                    nb |= 1 << y_index[y]
-            masks.append(nb)
-        return _or_closure_sum(masks, len(y_side))
+        masks = _neighbor_masks(x_side, y_side, p.cover_up)
+        return _or_closure_sum(masks, len(y_side), memory_budget)
     # sum over Y' subseteq Y of 2^{|X| - |N(Y')|}: members of Y' force
     # their predecessors into the ideal, the remaining X part is free.
-    masks = []
-    for y in y_side:
-        nb = 0
-        for x in x_side:
-            if p.cover_down[y] >> x & 1:
-                nb |= 1 << x_index[x]
-        masks.append(nb)
-    return _or_closure_sum(masks, len(x_side))
+    masks = _neighbor_masks(y_side, x_side, p.cover_down)
+    return _or_closure_sum(masks, len(x_side), memory_budget)
 
 
-_FLOAT_SAFE_BITS = 52
-
-
-def _transfer_trace(m: int, offsets) -> int:
+def _transfer_trace(m: int, offsets, memory_budget: int) -> int:
     """Ideal count of a circulant poset as the trace of a transfer matrix.
 
     State = membership bits of the last w = max(D) processed x-elements.
     Appending the next membership bit closes the window of one y, which
     contributes weight 2 when every x it needs is present and 1 otherwise.
     Cyclic closure = closed walks of length m, i.e. trace of M^m.
+
+    Columns are a block of start states s0.  After t < w steps the top
+    w - t bits of the state are still the low bits of s0, so a column holds
+    only 2^t rows, indexed by the appended bits; from step w on the rows
+    are all 2^w states.  The diagonal is summed as Python ints.
     """
     w = max(offsets)
+    if w == 0:
+        return 3**m  # D = {0}: m disjoint covers x_i < y_i, 3 ideals each
     nstates = 1 << w
+    cols = min(nstates, max(1, _BLOCK_ENTRIES >> w))
+    _check_budget("circulant-transfer", nstates * cols, memory_budget)
     need = 0  # bit w-d of the (w+1)-bit window must be set for each d in D
     for d in offsets:
         need |= 1 << (w - d)
-
-    def window_weight(v):
-        return 2 if v & need == need else 1
-
-    if nstates <= 1 << 9:
-        # exact integer DP per start state
-        total = 0
-        mask = nstates - 1
-        for s0 in range(nstates):
-            vec = {s0: 1}
-            for _ in range(m):
-                nxt = {}
-                for s, val in vec.items():
-                    for b in (0, 1):
-                        v = (s << 1) | b
-                        s2 = v & mask
-                        nxt[s2] = nxt.get(s2, 0) + val * window_weight(v)
-                vec = nxt
-            total += vec.get(s0, 0)
-        return total
-
-    if 2 * m - w > _FLOAT_SAFE_BITS:
-        raise ResourceLimit(
-            "transfer-matrix entries would exceed exact float64 range; "
-            "use another counting method"
-        )
-    from scipy import sparse
-
-    # M[s, s'] with s' = ((s << 1) | b) & mask; build M^T in csr form.
-    mask = nstates - 1
-    s = np.arange(nstates, dtype=np.int64)
-    rows, cols, vals = [], [], []
-    for b in (0, 1):
-        v = (s << 1) | b
-        s2 = v & mask
-        wgt = np.where((v & need) == need, 2.0, 1.0)
-        rows.append(s2)
-        cols.append(s)
-        vals.append(wgt)
-    mt = sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nstates, nstates),
-    )
-    block = min(nstates, max(1, (1 << 26) // nstates))
-    trace = 0.0
-    for start in range(0, nstates, block):
-        stop = min(start + block, nstates)
-        b_mat = np.zeros((nstates, stop - start))
-        b_mat[np.arange(start, stop), np.arange(stop - start)] = 1.0
-        for _ in range(m):
-            b_mat = mt @ b_mat
-        trace += float(b_mat[np.arange(start, stop), np.arange(stop - start)].sum())
-    if trace >= float(1 << _FLOAT_SAFE_BITS):
-        raise ResourceLimit("transfer trace exceeds exact float64 range")
-    return int(round(trace))
+    # Bit 0 of need is set (w is in D), so appending a 0 has weight 1, and
+    # appending a 1 to state s has weight 2 iff s covers need >> 1.
+    states = np.arange(nstates, dtype=np.uint64)
+    heavy = (states & np.uint64(need >> 1)) == need >> 1
+    weight1 = heavy.astype(np.uint64) + 1
+    half = nstates >> 1
+    heavy_lo = np.flatnonzero(heavy[:half])
+    heavy_hi = np.flatnonzero(heavy[half:])
+    mask = np.uint64(nstates - 1)
+    # uint64 is exact: an entry of M^t sums at most 2^max(0, t-w) walks of
+    # weight at most 2^t, so it is at most 2^(2t-w) <= 2^63 as 2m <= 64, w >= 1.
+    total = 0
+    for start in range(0, nstates, cols):
+        s0 = states[start : start + cols]
+        vec = np.ones((1, s0.size), dtype=np.uint64)
+        for t in range(w):
+            state = ((s0 << np.uint64(t)) | states[: 1 << t, None]) & mask
+            nxt = np.empty((1 << t, 2, s0.size), dtype=np.uint64)
+            nxt[:, 0] = vec
+            np.multiply(vec, weight1[state], out=nxt[:, 1])
+            vec = nxt.reshape(2 << t, s0.size)
+        for _ in range(m - w):
+            # state (h, r) goes to (r, b); only the heavy states weigh 2.
+            lo, hi = vec[:half], vec[half:]
+            nxt = np.empty((half, 2, s0.size), dtype=np.uint64)
+            np.add(lo, hi, out=nxt[:, 0])
+            nxt[:, 1] = nxt[:, 0]
+            nxt[heavy_lo, 1] += lo[heavy_lo]
+            nxt[heavy_hi, 1] += hi[heavy_hi]
+            vec = nxt.reshape(nstates, s0.size)
+        total += sum(vec[start : start + s0.size].diagonal().tolist())
+    return total
 
 
 def count_ideals(
@@ -357,11 +347,11 @@ def count_ideals(
     if method == "lattice":
         return len(enumerate_ideals(p, memory_budget))
     if method == "bipartite-sum":
-        return _count_ideals_bipartite_sum(p)
+        return _count_ideals_bipartite_sum(p, memory_budget)
     if method == "circulant-transfer":
         if not isinstance(p, CirculantBipartitePoset):
             raise MethodMismatch("circulant-transfer needs a CirculantBipartitePoset")
-        return _transfer_trace(p.m, p.offsets)
+        return _transfer_trace(p.m, p.offsets, memory_budget)
     raise MethodMismatch(f"unknown ideal-counting method {method!r}")
 
 
@@ -400,20 +390,6 @@ def _count_extensions_ideal_dp(p: Poset, memory_budget: int) -> int:
     return lam[ideals[-1]]
 
 
-def _bipartite_neighbor_masks(p: Poset):
-    """Neighbor masks of each y over X-indices, for a bipartite poset."""
-    x_side, y_side = p.bipartition()
-    x_index = {v: i for i, v in enumerate(x_side)}
-    y_needs = []
-    for y in y_side:
-        nb = 0
-        for x in x_side:
-            if p.cover_down[y] >> x & 1:
-                nb |= 1 << x_index[x]
-        y_needs.append(nb)
-    return len(x_side), len(y_side), y_needs
-
-
 def _count_extensions_bipartite_fst(p: Poset, memory_budget: int) -> int:
     """F(S, t) recurrence over subsets S of the lower side.
 
@@ -422,7 +398,9 @@ def _count_extensions_bipartite_fst(p: Poset, memory_budget: int) -> int:
     F(S, t) = sum_{x not in S} F(S + x, t) + (e(S) - t) F(S, t + 1)
     and boundary F(X, t) = (|Y| - t)!.
     """
-    nx, ny, y_needs = _bipartite_neighbor_masks(p)
+    x_side, y_side = p.bipartition()
+    nx, ny = len(x_side), len(y_side)
+    y_needs = _neighbor_masks(y_side, x_side, p.cover_down)
     if 1 << nx > memory_budget:
         raise ResourceLimit(f"2^{nx} subset table exceeds the memory budget")
     size = 1 << nx

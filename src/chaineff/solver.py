@@ -192,13 +192,16 @@ def solve_held_karp(
 
 
 class _TableAccountant:
-    def __init__(self):
+    def __init__(self, memory_budget):
+        self.budget = memory_budget
         self.current = 0
         self.peak = 0
 
     def alloc(self, size):
         self.current += size
         self.peak = max(self.peak, self.current)
+        if self.current > self.budget:
+            raise ResourceLimit("path tables exceed the memory budget")
 
     def free(self, size):
         self.current -= size
@@ -238,7 +241,9 @@ def _path_table(cities, w, acct, stats):
     return table
 
 
-def solve_gurevich_shelah(inst: TspInstance) -> SolveResult:
+def solve_gurevich_shelah(
+    inst: TspInstance, memory_budget: int = DEFAULT_MEMORY_BUDGET
+) -> SolveResult:
     """Optimal tour in 4^N-style time and polynomial space.
 
     Recursively splits the city set in halves, combining all-pairs path
@@ -249,7 +254,7 @@ def solve_gurevich_shelah(inst: TspInstance) -> SolveResult:
         raise InvalidInstance("TSP needs at least 2 cities")
     stats = SolveStats()
     t0 = time.monotonic()
-    acct = _TableAccountant()
+    acct = _TableAccountant(memory_budget)
     table = _path_table(list(range(inst.n)), inst.weights, acct, stats)
     acct.free(len(table))
     best = INF

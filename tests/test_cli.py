@@ -47,6 +47,12 @@ class TestCount:
     def test_malformed_builtin_exit_2(self, capsys):
         assert run(["count", "ideals", "--builtin", "circulant:xyz"]) == 2
 
+    @pytest.mark.parametrize("method", ["bipartite-sum", "circulant-transfer"])
+    def test_kernel_memory_budget_exit_3(self, capsys, method):
+        argv = ["count", "ideals", "--builtin", "circulant:12:0,1,10", "--method", method]
+        assert run(["--memory-budget", "16", *argv]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("cover_line", ["0 1 2", "1"])
     def test_malformed_cover_line_exit_2(self, capsys, tmp_path, cover_line):
         f = tmp_path / "p.txt"
@@ -132,6 +138,26 @@ class TestSolve:
             ["--memory-budget", "2", "solve", "tsp", "--matrix", str(f), "--algo", "held-karp"]
         )
         assert code == 3
+
+    def test_gs_memory_budget_exit_3(self, capsys, tmp_path):
+        f = tmp_path / "four.txt"
+        f.write_text(FOUR_CITY_TEXT)
+        assert run(["--memory-budget", "2", "solve", "tsp", "--matrix", str(f), "--algo", "gs"]) == 3
+
+    @pytest.mark.parametrize("budget", ["-1", "0"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["solve", "tsp", "--matrix", "{four}", "--algo", "held-karp"],
+            ["count", "ideals", "--builtin", "circulant:5:0,1", "--method", "circulant-transfer"],
+        ],
+    )
+    def test_memory_budget_below_one_exit_2(self, capsys, tmp_path, budget, command):
+        f = tmp_path / "four.txt"
+        f.write_text(FOUR_CITY_TEXT)
+        argv = [arg.format(four=f) for arg in command]
+        assert run(["--memory-budget", budget, *argv]) == 2
+        assert_one_line_error(capsys)
 
 
 class TestBounds:

@@ -1,12 +1,16 @@
 """Poset counting: ideals and linear extensions, all methods cross-checked."""
 
+import importlib
 import random
+import sys
 from itertools import permutations
 
 import pytest
 
-from chaineff.errors import InvalidInstance, MethodMismatch
+from chaineff.errors import InvalidInstance, MethodMismatch, ResourceLimit
 from chaineff.poset import (
+    EXTENSION_METHODS,
+    IDEAL_METHODS,
     Poset,
     closed_form_matching_complement,
     count_ideals,
@@ -22,9 +26,6 @@ from chaineff.poset import (
     poset_from_text,
     poset_to_text,
 )
-
-IDEAL_METHODS = ("lattice", "bipartite-sum", "circulant-transfer")
-EXT_METHODS = ("brute", "ideal-dp", "bipartite-fst", "orbit")
 
 
 def brute_ideals(p):
@@ -47,6 +48,18 @@ def brute_extensions(p):
         if all(pos[u] < pos[v] for u, v in p.covers):
             count += 1
     return count
+
+
+def lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def random_bipartite(rng, nx, ny, density=0.4):
+    covers = [(x, nx + y) for x in range(nx) for y in range(ny) if rng.random() < density]
+    return Poset(nx + ny, covers)
 
 
 def random_poset(rng, n):
@@ -104,6 +117,49 @@ class TestIdealCounting:
         values = {count_ideals(p, meth) for meth in IDEAL_METHODS}
         assert len(values) == 1
 
+    @pytest.mark.parametrize("m", range(2, 33))
+    def test_crown_is_lucas(self, m):
+        # The crown D = {0, 1} has L_{2m} ideals.  At m = 32 the entries of
+        # M^m reach the uint64 bound 2^(2m - w) = 2^63 of the transfer kernel.
+        p = make_circulant(m, (0, 1))
+        assert count_ideals(p, "circulant-transfer") == lucas(2 * m)
+        if m <= 9:
+            assert count_ideals(p, "lattice") == lucas(2 * m)
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 13, 32])
+    def test_matching_is_power_of_three(self, m):
+        p = make_circulant(m, (0,))
+        assert count_ideals(p, "circulant-transfer") == 3**m
+        if m <= 16:
+            assert count_ideals(p, "bipartite-sum") == 3**m
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_wide_transfer_matches_bipartite_sum(self, seed):
+        rng = random.Random(500 + seed)
+        w = rng.randint(10, 13)
+        m = rng.randint(w + 1, 18)
+        offsets = {0, w} | set(rng.sample(range(1, w), rng.randint(0, 4)))
+        p = make_circulant(m, offsets)
+        assert count_ideals(p, "circulant-transfer") == count_ideals(p, "bipartite-sum")
+
+    @pytest.mark.parametrize("nx,ny", [(3, 5), (5, 3), (5, 7), (7, 4), (1, 6)])
+    def test_bipartite_sum_matches_lattice(self, nx, ny):
+        p = random_bipartite(random.Random(nx * 10 + ny), nx, ny)
+        assert count_ideals(p, "bipartite-sum") == count_ideals(p, "lattice")
+
+    def test_bipartite_sum_side_without_neighbours(self):
+        # An antichain has an empty upper side; one isolated element joins
+        # a side whose other members have neighbours.
+        assert count_ideals(make_antichain(7), "bipartite-sum") == 2**7
+        p = Poset(6, [(0, 3), (1, 3), (1, 4)])
+        assert count_ideals(p, "bipartite-sum") == count_ideals(p, "lattice")
+
+    @pytest.mark.parametrize("method", ["bipartite-sum", "circulant-transfer"])
+    def test_kernels_check_budget(self, method):
+        p = make_circulant(12, (0, 1, 10))
+        with pytest.raises(ResourceLimit):
+            count_ideals(p, method, memory_budget=16)
+
     def test_transfer_requires_circulant(self):
         with pytest.raises(MethodMismatch):
             count_ideals(make_chain(4), "circulant-transfer")
@@ -125,7 +181,7 @@ class TestExtensionCounting:
     def test_bipartite_methods_agree(self, m):
         p = make_matching_complement(m)
         ref = count_linear_extensions(p, "brute")
-        for meth in EXT_METHODS[1:]:
+        for meth in EXTENSION_METHODS[1:]:
             assert count_linear_extensions(p, meth) == ref
 
     @pytest.mark.parametrize("m,offsets", [(7, (0, 1, 3)), (9, (0, 1, 3)), (11, (0, 1, 3))])
@@ -135,6 +191,22 @@ class TestExtensionCounting:
         b = count_linear_extensions(p, "bipartite-fst")
         c = count_linear_extensions(p, "orbit")
         assert a == b == c
+
+
+def test_runs_without_scipy(monkeypatch):
+    """Every counting method works, from a fresh import, when scipy is absent."""
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    for name in [k for k in sys.modules if k == "chaineff" or k.startswith("chaineff.")]:
+        monkeypatch.delitem(sys.modules, name)
+    poset = importlib.import_module("chaineff.poset")
+    # w = 10 is past the width below which the old transfer kernel avoided scipy.
+    wide = poset.make_circulant(12, (0, 1, 10))
+    ideals = {poset.count_ideals(wide, meth) for meth in poset.IDEAL_METHODS}
+    small = poset.make_circulant(4, (0, 1, 3))
+    extensions = {
+        poset.count_linear_extensions(small, meth) for meth in poset.EXTENSION_METHODS
+    }
+    assert len(ideals) == 1 and len(extensions) == 1
 
 
 class TestMatchingComplement:
