@@ -10,16 +10,21 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import ceil, factorial, log
 
+import numpy as np
+
 from .errors import (
     DimensionMismatch,
     InvalidInstance,
+    InvalidPermutation,
     NoChains,
     ResourceLimit,
 )
-from .setsystem import SetSystem, chain_correspondence, count_maximal_chains
+from .setsystem import SetSystem, count_maximal_chains
 
-GREEDY_MAX_N = 7
+GREEDY_MAX_N = 8
 VERIFY_MAX_N = 8
+# permutation entries composed in one numpy pass; bounds the scratch arrays
+_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -31,18 +36,6 @@ class PermutationCover:
 
     def __len__(self):
         return len(self.perms)
-
-
-def compose(outer, inner):
-    """(outer . inner)(i) = outer(inner(i))."""
-    return tuple(outer[v] for v in inner)
-
-
-def invert(pi):
-    inv = [0] * len(pi)
-    for i, v in enumerate(pi):
-        inv[v] = i
-    return tuple(inv)
 
 
 def chain_permutations(a: SetSystem):
@@ -71,37 +64,75 @@ def cover_size_bound(n: int, chains: int) -> float:
     return factorial(n) / chains * (n * log(n)) ** 2
 
 
+# ---------------------------------------------------------------------------
+# S_n as arrays: a permutation is a uint8 row of images, and its rank is its
+# lexicographic index, the order ``itertools.permutations`` yields.  Row r of
+# ``_all_permutations(n)`` has rank r.
+
+
+def _all_permutations(n: int):
+    return np.array(list(permutations(range(n))), dtype=np.uint8).reshape(-1, n)
+
+
+def _ranks(perms):
+    """int32 lexicographic ranks of the rows of a uint8 permutation table.
+
+    The Lehmer digit of position i counts the images after i that are
+    smaller, i.e. perms[i] minus the smaller images already used; the rank
+    sums digit_i * (n - 1 - i)!, accumulated in Horner form.  The used
+    images are a uint8 bitmask, so n <= 8.
+    """
+    k, n = perms.shape
+    rank = np.zeros(k, dtype=np.int32)
+    used = np.zeros(k, dtype=np.uint8)
+    for i in range(n - 1):
+        bit = np.left_shift(np.uint8(1), perms[:, i])
+        digit = perms[:, i] - np.bitwise_count(used & (bit - np.uint8(1)))
+        used |= bit
+        rank = rank * (n - i) + digit
+    return rank
+
+
+def _chain_table(a: SetSystem):
+    return np.array(chain_permutations(a), dtype=np.uint8).reshape(-1, a.n)
+
+
 def greedy_cover(a: SetSystem) -> PermutationCover:
     """Certified cover by greedy set cover over the universe S_n.
 
     Each candidate pi' covers S(pi') = {pi : pi'.pi is a chain of A}
-    = {pi'^-1 . c : c a chain permutation}.  Ties break toward the
-    lexicographically smallest pi' for reproducibility.
+    = {pi'^-1 . c : c a chain permutation}, so pi is covered by exactly the
+    candidates c . pi^-1.  ``gains[r]`` counts the uncovered permutations
+    the candidate of rank r would cover; a pick covers its row and takes
+    each newly covered pi away from the gains of its c(A) candidates.  Ties
+    break toward the lexicographically smallest pi' (``np.argmax`` returns
+    the first maximum) for reproducibility.
     """
     n = a.n
     if n > GREEDY_MAX_N:
         raise ResourceLimit(f"greedy cover materializes S_n; capped at n = {GREEDY_MAX_N}")
-    chains = chain_permutations(a)
-    if not chains:
+    chains = _chain_table(a)
+    if not len(chains):
         raise NoChains("set system has no maximal chain")
-    all_perms = list(permutations(range(n)))
-    index = {pi: i for i, pi in enumerate(all_perms)}
-    candidates = []
-    for outer in all_perms:
-        inv = invert(outer)
-        covered = frozenset(index[compose(inv, c)] for c in chains)
-        candidates.append((outer, covered))
-    uncovered = set(range(len(all_perms)))
+    perms = _all_permutations(n)
+    inverses = np.argsort(perms, axis=1).astype(np.uint8)
+    gains = np.full(len(perms), len(chains), dtype=np.int32)
+    uncovered = np.ones(len(perms), dtype=bool)
+    left = len(perms)
+    step = max(1, _BLOCK // (len(chains) * n))
     chosen = []
-    while uncovered:
-        best = None
-        best_gain = -1
-        for outer, covered in candidates:
-            gain = len(covered & uncovered)
-            if gain > best_gain:
-                best, best_gain = (outer, covered), gain
-        chosen.append(best[0])
-        uncovered -= best[1]
+    while left:
+        best = int(np.argmax(gains))
+        chosen.append(tuple(perms[best].tolist()))
+        row = _ranks(inverses[best][chains])
+        fresh = row[uncovered[row]]
+        uncovered[fresh] = False
+        left -= len(fresh)
+        if not left:  # the last pick's gains are never read
+            break
+        for lo in range(0, len(fresh), step):
+            lost = _ranks(chains[:, inverses[fresh[lo : lo + step]]].reshape(-1, n))
+            gains -= np.bincount(lost, minlength=len(gains)).astype(np.int32)
     return PermutationCover(n=n, perms=tuple(chosen), certified=True, note="greedy")
 
 
@@ -159,24 +190,34 @@ def randomized_cover(a: SetSystem, seed: int, size_factor: float = 1.0) -> Permu
         certified=False,
         note=f"random(seed={seed}, factor={size_factor}, samples={count})",
     )
-    if n <= GREEDY_MAX_N and verify_cover(a, cover):
+    if n <= VERIFY_MAX_N and verify_cover(a, cover):
         cover = PermutationCover(n=n, perms=perms, certified=True, note=cover.note)
     return cover
 
 
 def verify_cover(a: SetSystem, cover: PermutationCover) -> bool:
-    """True iff every permutation of [n] is sent to a chain by some member."""
-    if cover.n != a.n:
-        raise DimensionMismatch(f"cover over {cover.n} elements, system over {a.n}")
-    if a.n > VERIFY_MAX_N:
+    """True iff every permutation of [n] is sent to a chain by some member.
+
+    pi is covered iff pi = pi'^-1 . c for a member pi' and a chain c, so the
+    cover is certified iff those ranks mark all of S_n.
+    """
+    n = a.n
+    if cover.n != n:
+        raise DimensionMismatch(f"cover over {cover.n} elements, system over {n}")
+    if n > VERIFY_MAX_N:
         raise ResourceLimit(f"verification enumerates S_n; capped at n = {VERIFY_MAX_N}")
-    chain_set = set(chain_permutations(a))
-    if not chain_set:
+    if any(sorted(pi) != list(range(n)) for pi in cover.perms):
+        raise InvalidPermutation("a cover member is not a permutation of [n]")
+    chains = _chain_table(a)
+    if not len(chains):
         return False
-    for pi in permutations(range(a.n)):
-        if not any(compose(outer, pi) in chain_set for outer in cover.perms):
-            return False
-    return True
+    inverses = np.argsort(np.array(cover.perms, dtype=np.uint8).reshape(-1, n), axis=1)
+    inverses = inverses.astype(np.uint8)
+    marked = np.zeros(factorial(n), dtype=bool)
+    step = max(1, _BLOCK // (len(chains) * n))
+    for lo in range(0, len(inverses), step):
+        marked[_ranks(inverses[lo : lo + step][:, chains].reshape(-1, n))] = True
+    return bool(marked.all())
 
 
 # ---------------------------------------------------------------------------

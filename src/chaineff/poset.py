@@ -538,9 +538,16 @@ def closed_form_matching_complement(m: int):
 
 
 def default_count_methods(p: Poset):
-    """(ideal method, extension method) poset_efficiency would pick."""
+    """(ideal method, extension method) poset_efficiency would pick.
+
+    For a circulant the cheaper ideal kernel by estimated work: the
+    transfer trace makes about (m - w) * 4^w updates (w = max D), the
+    bipartite sum about 2^m.
+    """
     if isinstance(p, CirculantBipartitePoset):
-        ideal_method = "circulant-transfer"
+        w = max(p.offsets)
+        cheaper = (p.m - w) * 4**w < 2**p.m
+        ideal_method = "circulant-transfer" if cheaper else "bipartite-sum"
         ext_method = "bipartite-fst" if p.m <= 22 else "orbit"
     else:
         ideal_method = "lattice"

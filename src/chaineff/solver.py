@@ -80,15 +80,21 @@ def _subset_dp(
     ``masks_by_popcount`` lists admissible masks per cardinality;
     ``table[mask]`` maps keys to semiring values, and ``parents[mask]``
     maps each key to the (last, parent key) step that produced its value.
-    Entries equal to the additive identity are not stored.
+    Entries equal to the additive identity are not stored.  Without parent
+    pointers a layer reads only the one before it, so the rows of popcount
+    k - 2 are dropped before layer k is built and ``table`` ends with the
+    last two layers; ``resident`` counts the live entries.
     """
     keep = degree - 1
     zero, add, mul = sr.zero, sr.add, sr.mul
     table: dict[int, dict[tuple, object]] = {0: {(): sr.one}}
     parents: dict[int, dict[tuple, tuple]] = {}
-    resident = 1
+    resident = peak = 1
     updates = 0
     for k in range(1, n + 1):
+        if not want_parents and k >= 2:
+            for mask in masks_by_popcount[k - 2]:
+                resident -= len(table.pop(mask, ()))
         for mask in masks_by_popcount[k]:
             row = {}
             prow = {}
@@ -124,8 +130,9 @@ def _subset_dp(
                 table[mask] = row
                 if want_parents:
                     parents[mask] = prow
+        peak = max(peak, resident)
     stats.total_dp_updates += updates
-    stats.peak_resident_entries = max(stats.peak_resident_entries, resident)
+    stats.peak_resident_entries = max(stats.peak_resident_entries, peak)
     return table, parents
 
 

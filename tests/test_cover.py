@@ -1,23 +1,48 @@
 """Permutation covers: greedy, randomized, verification, reproducibility."""
 
+import json
 import random
 from itertools import permutations
 from math import factorial, log
 
+import numpy as np
 import pytest
 
+from chaineff.cli import run
 from chaineff.cover import (
+    PermutationCover,
     SplitMix64,
+    _all_permutations,
+    _ranks,
     chain_permutations,
-    compose,
     cover_size_bound,
     greedy_cover,
-    invert,
     random_permutation,
     randomized_cover,
     verify_cover,
 )
-from chaineff.setsystem import SetSystem, full_power_set, tower_of_cubes
+from chaineff.errors import InvalidPermutation
+from chaineff.poset import Poset
+from chaineff.setsystem import (
+    SetSystem,
+    cartesian_power,
+    count_maximal_chains,
+    from_poset_ideals,
+    full_power_set,
+    tower_of_cubes,
+)
+
+
+def compose(outer, inner):
+    """(outer . inner)(i) = outer(inner(i))."""
+    return tuple(outer[v] for v in inner)
+
+
+def invert(pi):
+    inv = [0] * len(pi)
+    for i, v in enumerate(pi):
+        inv[v] = i
+    return tuple(inv)
 
 
 def brute_is_cover(a, perms):
@@ -29,11 +54,44 @@ def brute_is_cover(a, perms):
     return True
 
 
+def reference_greedy(a):
+    """Greedy set cover over frozensets of S_n, the oracle for greedy_cover.
+
+    Every candidate's covered set is materialised and intersected with the
+    uncovered set on each pick; the strict ``>`` keeps the lexicographically
+    smallest candidate among equal gains.
+    """
+    chains = chain_permutations(a)
+    all_perms = list(permutations(range(a.n)))
+    index = {pi: i for i, pi in enumerate(all_perms)}
+    candidates = [
+        (outer, frozenset(index[compose(invert(outer), c)] for c in chains))
+        for outer in all_perms
+    ]
+    uncovered = set(range(len(all_perms)))
+    chosen = []
+    while uncovered:
+        best = None
+        best_gain = -1
+        for outer, covered in candidates:
+            gain = len(covered & uncovered)
+            if gain > best_gain:
+                best, best_gain = (outer, covered), gain
+        chosen.append(best[0])
+        uncovered -= best[1]
+    return tuple(chosen)
+
+
 def random_system(rng, n):
     members = {0, (1 << n) - 1}
     for _ in range(rng.randint(1, 2**n)):
         members.add(rng.randrange(1 << n))
     return SetSystem(n, sorted(members))
+
+
+def random_ideal_family(rng, n):
+    covers = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.35]
+    return from_poset_ideals(Poset(n, covers))
 
 
 class TestComposition:
@@ -91,6 +149,125 @@ class TestGreedyCover:
         a = tower_of_cubes(2, 2)
         cov = greedy_cover(a)
         assert cov.certified and verify_cover(a, cov)
+
+
+class TestRanks:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_table_rows_have_their_rank(self, n):
+        table = _all_permutations(n)
+        assert table.dtype == np.uint8 and table.shape == (factorial(n), n)
+        assert [tuple(row) for row in table[:50].tolist()] == list(permutations(range(n)))[:50]
+        assert np.array_equal(_ranks(table), np.arange(factorial(n)))
+
+    def test_ranks_of_shuffled_rows(self):
+        table = _all_permutations(6)
+        order = np.random.default_rng(3).permutation(len(table))
+        assert np.array_equal(_ranks(table[order]), order)
+
+
+class TestGreedyMatchesReference:
+    """The array greedy picks exactly what the frozenset greedy picks."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_systems(self, seed):
+        rng = random.Random(1000 + seed)
+        for _ in range(5):
+            a = random_system(rng, rng.randint(1, 6))
+            if count_maximal_chains(a) == 0:
+                continue
+            assert greedy_cover(a).perms == reference_greedy(a)
+
+    @pytest.mark.parametrize("seed", [5, 11])
+    def test_seven_element_ideal_families(self, seed):
+        a = random_ideal_family(random.Random(seed), 7)
+        assert a.n == 7 and len(a.members) < 2**7
+        assert greedy_cover(a).perms == reference_greedy(a)
+
+    @pytest.mark.parametrize("t,k", [(3, 2), (2, 3)])
+    def test_towers(self, t, k):
+        a = tower_of_cubes(t, k)
+        assert greedy_cover(a).perms == reference_greedy(a)
+
+
+class TestVerifyCover:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_covers_match_brute_force(self, seed):
+        rng = random.Random(2000 + seed)
+        n = rng.randint(2, 5)
+        a = random_system(rng, n)
+        universe = list(permutations(range(n)))
+        for _ in range(6):
+            perms = tuple(rng.sample(universe, rng.randint(1, len(universe))))
+            cover = PermutationCover(n=n, perms=perms, certified=False)
+            assert verify_cover(a, cover) == brute_is_cover(a, perms)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_certified_cover_minus_one_member(self, seed):
+        rng = random.Random(3000 + seed)
+        a = random_system(rng, rng.randint(3, 6))
+        if count_maximal_chains(a) == 0:
+            return
+        perms = greedy_cover(a).perms
+        assert verify_cover(a, PermutationCover(a.n, perms, False))
+        for drop in {0, len(perms) - 1, rng.randrange(len(perms))}:
+            rest = perms[:drop] + perms[drop + 1 :]
+            cover = PermutationCover(a.n, rest, False)
+            assert verify_cover(a, cover) == brute_is_cover(a, rest)
+
+    def test_single_chain_cover_minus_one_fails(self):
+        a = SetSystem(3, [0, 0b1, 0b11, 0b111])
+        perms = greedy_cover(a).perms
+        assert not verify_cover(a, PermutationCover(3, perms[1:], False))
+        assert not verify_cover(a, PermutationCover(3, (), False))
+
+    @pytest.mark.parametrize("bad", [(0, 0, 1), (0, 1), (0, 1, 3)])
+    def test_rejects_non_permutations(self, bad):
+        a = full_power_set(3)
+        with pytest.raises(InvalidPermutation):
+            verify_cover(a, PermutationCover(3, ((0, 1, 2), bad), False))
+
+
+class TestEightElements:
+    """n = 8: greedy and random covers are built and certified."""
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_greedy_and_random_certified(self, g):
+        a = tower_of_cubes(4, 2) if g == 1 else cartesian_power(tower_of_cubes(2, 2), 2)
+        assert a.n == 8
+        greedy = greedy_cover(a)
+        assert len(greedy.perms) <= cover_size_bound(8, count_maximal_chains(a))
+        for cov in (greedy, randomized_cover(a, seed=4)):
+            assert cov.certified and verify_cover(a, cov)
+
+    def test_cli_random_cover_certified(self, capsys):
+        argv = ["cover", "--builtin", "tower:4:2", "--strategy", "random", "--seed", "1"]
+        assert run(argv) == 0
+        assert json.loads(capsys.readouterr().out)["certified"] is True
+
+    def test_cli_g2_solve_matches_held_karp(self, capsys, tmp_path):
+        rng = random.Random(9)
+        w = [[0 if i == j else rng.randint(1, 99) for j in range(9)] for i in range(9)]
+        f = tmp_path / "nine.txt"
+        f.write_text("9\n" + "".join(" ".join(map(str, row)) + "\n" for row in w))
+        docs = []
+        for extra in (
+            ["--algo", "held-karp"],
+            ["--algo", "tradeoff", "--builtin", "tower:2:2", "--g", "2"],
+        ):
+            assert run(["solve", "tsp", "--matrix", str(f), *extra]) == 0
+            docs.append(json.loads(capsys.readouterr().out))
+        assert docs[0]["value"] == docs[1]["value"]
+
+    def test_nine_elements_exit_3(self, capsys):
+        assert run(["cover", "--builtin", "tower:3:3"]) == 3
+        assert run(["cover", "--builtin", "tower:3:3", "--strategy", "random"]) == 0
+        assert json.loads(capsys.readouterr().out)["certified"] is False
+
+    def test_uncertified_cover_in_solve_exit_3(self, tmp_path):
+        f = tmp_path / "five.txt"
+        f.write_text("5\n0 1 2 3 4\n1 0 1 2 3\n2 1 0 1 2\n3 2 1 0 1\n4 3 2 1 0\n")
+        argv = ["solve", "tsp", "--matrix", str(f), "--algo", "tradeoff", "--builtin", "tower:2:2"]
+        assert run([*argv, "--strategy", "random", "--factor", "0.01"]) == 3
 
 
 class TestRandomizedCover:

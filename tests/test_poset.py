@@ -15,6 +15,7 @@ from chaineff.poset import (
     closed_form_matching_complement,
     count_ideals,
     count_linear_extensions,
+    default_count_methods,
     enumerate_ideals,
     make_antichain,
     make_bucket_order,
@@ -169,6 +170,27 @@ class TestIdealCounting:
         ideals = enumerate_ideals(p)
         assert len(ideals) == brute_ideals(p)
         assert 0 in ideals and (1 << p.n) - 1 in ideals
+
+
+class TestDefaultMethods:
+    """The default ideal kernel for a circulant is the cheaper estimate."""
+
+    @pytest.mark.parametrize(
+        "poset,method",
+        [
+            (lambda: make_matching_complement(12), "bipartite-sum"),
+            (lambda: make_circulant(18, (0, 1, 3, 6)), "circulant-transfer"),
+            (lambda: make_circulant(24, (0, 5, 10, 13)), "bipartite-sum"),
+            (lambda: make_circulant(29, (0, 1, 3, 6, 10, 15)), "bipartite-sum"),
+            (lambda: make_circulant(5, (0,)), "circulant-transfer"),
+        ],
+        ids=["matchcomp12", "m18w6", "m24w13", "m29w15", "m5w0"],
+    )
+    def test_circulant_ideal_method(self, poset, method):
+        assert default_count_methods(poset())[0] == method
+
+    def test_general_poset_uses_lattice(self):
+        assert default_count_methods(make_chain(4)) == ("lattice", "ideal-dp")
 
 
 class TestExtensionCounting:

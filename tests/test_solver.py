@@ -8,7 +8,7 @@ from math import ceil, comb, factorial, log2, perm
 import pytest
 
 from chaineff.cover import greedy_cover
-from chaineff.errors import InvalidInstance, UnsupportedSemiring
+from chaineff.errors import InvalidInstance, ResourceLimit, UnsupportedSemiring
 from chaineff.poset import make_matching_complement
 from chaineff.semiring import (
     INF,
@@ -24,7 +24,9 @@ from chaineff.semiring import (
 )
 from chaineff.setsystem import from_poset_ideals, full_power_set, tower_of_cubes
 from chaineff.solver import (
+    SolveStats,
     SolverConfig,
+    _subset_dp,
     solve_chain_tradeoff,
     solve_gurevich_shelah,
     solve_held_karp,
@@ -228,6 +230,47 @@ class TestStateSpace:
         prob = PermutationProblem(n=n, degree=degree, semiring=MIN_PLUS, cost_fn=lambda m, w: 1)
         expect = 1 + sum(comb(n, k) * perm(k, min(k, degree - 1)) for k in range(1, n + 1))
         assert solve_held_karp(prob).stats.peak_resident_entries == expect
+
+
+class TestLiveLayers:
+    """Without parent pointers the DP keeps only the two layers in use."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_peak_is_two_largest_consecutive_layers(self, degree):
+        n = 7
+        prob = table_problem(random.Random(300 + degree), n, degree)
+        masks_by_popcount = [[] for _ in range(n + 1)]
+        for mask in range(1 << n):
+            masks_by_popcount[mask.bit_count()].append(mask)
+        args = (n, degree, MIN_PLUS, prob.cost_fn, masks_by_popcount, 1 << 20)
+        full_stats, lean_stats = SolveStats(), SolveStats()
+        full, _ = _subset_dp(*args, full_stats, want_parents=True)
+        lean, _ = _subset_dp(*args, lean_stats, want_parents=False)
+        layers = [0] * (n + 1)
+        for mask, row in full.items():
+            layers[mask.bit_count()] += len(row)
+        assert full_stats.peak_resident_entries == sum(layers)
+        assert lean_stats.peak_resident_entries == max(
+            layers[k - 1] + layers[k] for k in range(1, n + 1)
+        )
+        assert lean[(1 << n) - 1] == full[(1 << n) - 1]
+        assert all(mask.bit_count() >= n - 1 for mask in lean)
+        assert lean_stats.total_dp_updates == full_stats.total_dp_updates
+
+    def test_budget_counts_live_entries(self):
+        n = 7
+        masks_by_popcount = [[] for _ in range(n + 1)]
+        for mask in range(1 << n):
+            masks_by_popcount[mask.bit_count()].append(mask)
+        two_layers = max(comb(n, k - 1) + comb(n, k) for k in range(1, n + 1))
+        for budget in (two_layers, two_layers - 1):
+            args = (n, 1, MIN_PLUS, lambda m, w: 1, masks_by_popcount, budget, SolveStats())
+            if budget < two_layers:
+                with pytest.raises(ResourceLimit):
+                    _subset_dp(*args, want_parents=False)
+            else:
+                table, _ = _subset_dp(*args, want_parents=False)
+                assert table[(1 << n) - 1] == {(): n}
 
 
 class TestWallTime:
