@@ -42,6 +42,7 @@ from .setsystem import (
     cartesian_power,
     chain_efficiency,
     count_maximal_chains,
+    from_poset_ideals,
     setsystem_from_text,
     tower_of_cubes,
 )
@@ -70,10 +71,18 @@ def _read_file(path: str) -> str:
         raise ChainEffError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_builtin(name: str):
-    """Return ('poset', p) or ('setsystem', a) for a builtin name."""
+def _parse_builtin(name: str, memory_budget: int = DEFAULT_MEMORY_BUDGET):
+    """Return ('poset', p) or ('setsystem', a) for a builtin name.
+
+    ``ideals:NAME`` is the set system of all ideals of the poset builtin NAME.
+    """
     parts = name.split(":")
     kind = parts[0]
+    if kind == "ideals":
+        inner, poset = _parse_builtin(name[len("ideals:") :], memory_budget)
+        if inner != "poset":
+            raise ChainEffError(f"builtin {name!r} needs a poset after 'ideals:'")
+        return "setsystem", from_poset_ideals(poset, memory_budget)
     try:
         if kind == "circulant":
             m = int(parts[1])
@@ -94,7 +103,7 @@ def _parse_builtin(name: str):
 
 def _load_poset(args):
     if getattr(args, "builtin", None):
-        kind, obj = _parse_builtin(args.builtin)
+        kind, obj = _parse_builtin(args.builtin, args.memory_budget)
         if kind != "poset":
             raise ChainEffError(f"builtin {args.builtin!r} is not a poset")
         return obj
@@ -105,7 +114,7 @@ def _load_poset(args):
 
 def _load_setsystem(args):
     if getattr(args, "builtin", None):
-        kind, obj = _parse_builtin(args.builtin)
+        kind, obj = _parse_builtin(args.builtin, args.memory_budget)
         if kind != "setsystem":
             raise ChainEffError(f"builtin {args.builtin!r} is not a set system")
         return obj
@@ -157,6 +166,9 @@ def _value_str(v) -> str:
 def _stats_doc(stats) -> dict:
     return {
         "peakResidentEntries": str(stats.peak_resident_entries),
+        "sweepPeakEntries": str(stats.sweep_peak_entries),
+        "witnessPeakEntries": str(stats.witness_peak_entries),
+        "batchResidentEntries": str(stats.batch_resident_entries),
         "totalDpUpdates": str(stats.total_dp_updates),
         "coverProductSize": str(stats.cover_product_size),
         "wallTime": repr(stats.wall_time),
@@ -189,13 +201,17 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_efficiency(args) -> int:
-    if args.setsystem or (args.builtin and args.builtin.startswith("tower")):
-        a = _load_setsystem(args)
-        report = chain_efficiency(a)
+    if args.builtin:
+        kind, obj = _parse_builtin(args.builtin, args.memory_budget)
+    elif args.setsystem:
+        kind, obj = "setsystem", _load_setsystem(args)
+    else:
+        kind, obj = "poset", _load_poset(args)
+    if kind == "setsystem":
+        report = chain_efficiency(obj)
         extra = {"size": str(report.size), "chains": str(report.chains)}
     else:
-        p = _load_poset(args)
-        report = poset_efficiency(p, args.memory_budget)
+        report = poset_efficiency(obj, args.memory_budget)
         extra = {"alpha": str(report.size), "lambda": str(report.chains)}
     _emit(
         {

@@ -12,19 +12,14 @@ from math import ceil, factorial, log
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InvalidInstance,
-    InvalidPermutation,
-    NoChains,
-    ResourceLimit,
-)
+from .errors import DimensionMismatch, InvalidPermutation, NoChains, ResourceLimit
 from .setsystem import SetSystem, count_maximal_chains
 
 GREEDY_MAX_N = 8
 VERIFY_MAX_N = 8
-# permutation entries composed in one numpy pass; bounds the scratch arrays
-_BLOCK = 1 << 20
+# permutation entries composed in one numpy pass; bounds the scratch arrays,
+# about 1 MB for verify_cover at n = 7
+_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -60,8 +55,13 @@ def chain_permutations(a: SetSystem):
 
 
 def cover_size_bound(n: int, chains: int) -> float:
-    """Greedy guarantee: (n!/c(A)) * (n ln n)^2."""
-    return factorial(n) / chains * (n * log(n)) ** 2
+    """Greedy guarantee: (n!/c(A)) * (1 + ln c(A)).
+
+    Every candidate covers exactly c(A) permutations and every permutation
+    lies in exactly c(A) candidates, so greedy set cover stays within this
+    (Lovasz 1975; Stein 1974).
+    """
+    return factorial(n) / chains * (1 + log(chains))
 
 
 # ---------------------------------------------------------------------------
@@ -218,27 +218,3 @@ def verify_cover(a: SetSystem, cover: PermutationCover) -> bool:
     for lo in range(0, len(inverses), step):
         marked[_ranks(inverses[lo : lo + step][:, chains].reshape(-1, n))] = True
     return bool(marked.all())
-
-
-# ---------------------------------------------------------------------------
-# Text format: line 1 "n k"; then k lines of space-separated images.
-
-
-def cover_to_text(cover: PermutationCover) -> str:
-    lines = [f"{cover.n} {len(cover.perms)}"]
-    lines += [" ".join(map(str, pi)) for pi in cover.perms]
-    return "\n".join(lines) + "\n"
-
-
-def cover_from_text(text: str) -> PermutationCover:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidInstance("empty cover file")
-    try:
-        n, k = map(int, lines[0].split())
-        perms = tuple(tuple(map(int, ln.split())) for ln in lines[1 : k + 1])
-    except ValueError as exc:
-        raise InvalidInstance(f"malformed cover file: {exc}") from exc
-    if len(perms) != k:
-        raise InvalidInstance("cover file truncated")
-    return PermutationCover(n=n, perms=perms, certified=False, note="file")

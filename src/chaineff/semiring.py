@@ -12,11 +12,20 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import InvalidInstance, InvalidPermutation
 
 INF = float("inf")
 
 MAX_DEGREE = 4
+
+# Array forms hold int64 costs with ARRAY_INF in place of INF.  A problem
+# gets one only when its largest finite order cost is below ARRAY_INF, so
+# every finite partial sum is exact and below ARRAY_INF; a DP step adds at
+# most two costs of at most ARRAY_INF to a value of at most ARRAY_INF, so
+# int64 never wraps.
+ARRAY_INF = 1 << 61
 
 
 @dataclass(frozen=True)
@@ -71,6 +80,23 @@ SUM_PRODUCT = Semiring(
 )
 
 
+@dataclass(frozen=True, eq=False)
+class ArrayCosts:
+    """The local costs of a min-plus problem of degree 1 or 2 as int64 arrays.
+
+    Placing q at position j, after the prefix S whose last element is p,
+    costs first[q] if j == 1 and pair[p, q] otherwise, plus last[q] if j
+    is the last position, plus back[q, u] for each u in S.  ``pair`` is
+    None for degree 1, where only first, last and back apply; ``back`` is
+    None when no cost reads the prefix set.  ARRAY_INF forbids a step.
+    """
+
+    first: np.ndarray
+    last: np.ndarray
+    pair: np.ndarray | None = None
+    back: np.ndarray | None = None
+
+
 @dataclass(frozen=True)
 class PermutationProblem:
     """A degree-d permutation problem over ``semiring``.
@@ -78,12 +104,15 @@ class PermutationProblem:
     ``cost_fn(prefix_mask, window)`` must be pure.  ``window`` is the
     tuple of the last min(d, j) placed elements where j is the popcount
     of ``prefix_mask`` (the prefix includes the element just placed).
+    ``arrays``, when set, holds the same min-plus costs as arrays, and the
+    solvers run their array kernel on it instead of calling ``cost_fn``.
     """
 
     n: int
     degree: int
     semiring: Semiring
     cost_fn: Callable[[int, tuple], object]
+    arrays: ArrayCosts | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -138,11 +167,22 @@ def tsp_as_permutation_problem(inst: TspInstance) -> PermutationProblem:
 
     Tours are anchored at city 0: element e stands for city e+1, the
     opening edge is charged at j=1 and the closing edge at j=N-1, so the
-    minimum over all permutations is the optimal tour length.
+    minimum over all permutations is the optimal tour length.  A tour has
+    N edges, so N times the largest finite weight bounds every finite
+    tour; the array form is attached only when that bound is below
+    ARRAY_INF.
     """
     n = inst.n
     w = inst.weights
     last_pos = n - 1
+    largest = max(
+        (x for i, row in enumerate(w) for j, x in enumerate(row) if i != j and x != INF),
+        default=0,
+    )
+    arrays = None
+    if n * largest < ARRAY_INF:
+        m = np.array([[ARRAY_INF if x == INF else x for x in row] for row in w], dtype=np.int64)
+        arrays = ArrayCosts(first=m[0, 1:], last=m[1:, 0], pair=m[1:, 1:])
 
     def cost(prefix_mask: int, window: tuple):
         j = prefix_mask.bit_count()
@@ -155,7 +195,7 @@ def tsp_as_permutation_problem(inst: TspInstance) -> PermutationProblem:
             c = c + w[city][0]
         return c
 
-    return PermutationProblem(n=n - 1, degree=2, semiring=MIN_PLUS, cost_fn=cost)
+    return PermutationProblem(n=n - 1, degree=2, semiring=MIN_PLUS, cost_fn=cost, arrays=arrays)
 
 
 def dfas_as_permutation_problem(inst: DfasInstance) -> PermutationProblem:
@@ -166,7 +206,8 @@ def dfas_as_permutation_problem(inst: DfasInstance) -> PermutationProblem:
     whose removal makes the digraph acyclic.  Each vertex's out-neighbours
     are grouped by arc multiplicity into one bitmask per multiplicity;
     v is never its own out-neighbour, so the prefix mask needs no
-    masking of v.
+    masking of v.  The array form is the arc-multiplicity matrix; no
+    order costs more than the number of arcs, which int64 holds exactly.
     """
     out: list[Counter] = [Counter() for _ in range(inst.n)]
     for u, v in inst.arcs:
@@ -184,7 +225,10 @@ def dfas_as_permutation_problem(inst: DfasInstance) -> PermutationProblem:
             total += mult * (prefix_mask & mask).bit_count()
         return total
 
-    return PermutationProblem(n=inst.n, degree=1, semiring=MIN_PLUS, cost_fn=cost)
+    arc_counts = np.array([[counts[u] for u in range(inst.n)] for counts in out], dtype=np.int64)
+    zeros = np.zeros(inst.n, dtype=np.int64)
+    arrays = ArrayCosts(first=zeros, last=zeros, back=arc_counts)
+    return PermutationProblem(n=inst.n, degree=1, semiring=MIN_PLUS, cost_fn=cost, arrays=arrays)
 
 
 def evaluate_permutation(problem: PermutationProblem, sigma: Sequence[int]):

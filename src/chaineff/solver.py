@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import ceil
 
+import numpy as np
+
+from .arraydp import ArrayDP
 from .cover import PermutationCover, greedy_cover, randomized_cover
 from .errors import (
     InvalidInstance,
@@ -21,16 +24,30 @@ from .errors import (
     UnsupportedSemiring,
 )
 from .poset import DEFAULT_MEMORY_BUDGET
-from .semiring import INF, PermutationProblem, Semiring, TspInstance
+from .semiring import ARRAY_INF, INF, PermutationProblem, Semiring, TspInstance
 from .setsystem import SetSystem, cartesian_power
 
 
 @dataclass
 class SolveStats:
+    """Space and time of one solve.
+
+    ``peak_resident_entries`` is the larger of ``sweep_peak_entries``, the
+    largest table one DP run of the sweep (or Held-Karp's one run) holds,
+    and ``witness_peak_entries``, that of the tradeoff's witness re-run.
+    ``batch_resident_entries`` is the table space the memory budget was
+    checked against: a batch of dense per-tuple tables on the array kernel
+    (the budget also holds its plan), the finite entries held on the
+    callback DP.
+    """
+
     peak_resident_entries: int = 0
     total_dp_updates: int = 0
     cover_product_size: int = 1
     wall_time: float = 0.0
+    sweep_peak_entries: int = 0
+    witness_peak_entries: int = 0
+    batch_resident_entries: int = 0
 
 
 @dataclass
@@ -168,28 +185,49 @@ def _reconstruct(parents, full_mask, key):
 def solve_held_karp(
     problem: PermutationProblem, memory_budget: int = DEFAULT_MEMORY_BUDGET
 ) -> SolveResult:
-    """Full subset DP over all 2^N prefix sets; works for any semiring."""
+    """Full subset DP over all 2^N prefix sets; works for any semiring.
+
+    A problem with an array form runs the array kernel on the family of
+    all subsets; any other runs the callback DP.
+    """
     n = problem.n
     stats = SolveStats()
     t0 = time.monotonic()
-    masks_by_popcount = [[] for _ in range(n + 1)]
-    for mask in range(1 << n):
-        masks_by_popcount[mask.bit_count()].append(mask)
-    table, parents = _subset_dp(
-        n,
-        problem.degree,
-        problem.semiring,
-        problem.cost_fn,
-        masks_by_popcount,
-        memory_budget,
-        stats,
-        want_parents=True,
-    )
-    full_mask = (1 << n) - 1
-    value, key = _final_value(table, full_mask, problem.semiring)
-    witness = None
-    if key is not None and value != problem.semiring.zero:
-        witness = _reconstruct(parents, full_mask, key)
+    if 1 << n > memory_budget:
+        raise ResourceLimit("the 2^N prefix sets exceed the memory budget")
+    if problem.arrays is not None:
+        dp = ArrayDP(
+            problem.arrays, n, np.arange(1 << n, dtype=np.uint64), n, problem.degree, memory_budget
+        )
+        dp.batch_size(1, memory_budget, keep_all=True)
+        identity = np.arange(n)
+        run = dp.run(identity[None], keep_all=True)
+        value = run.value(0)
+        witness = dp.walk(run, identity) if value != INF else None
+        stats.total_dp_updates = int(run.updates[0])
+        stats.peak_resident_entries = int(run.live[0].sum())
+        stats.batch_resident_entries = dp.entries(keep_all=True)
+    else:
+        masks_by_popcount = [[] for _ in range(n + 1)]
+        for mask in range(1 << n):
+            masks_by_popcount[mask.bit_count()].append(mask)
+        table, parents = _subset_dp(
+            n,
+            problem.degree,
+            problem.semiring,
+            problem.cost_fn,
+            masks_by_popcount,
+            memory_budget,
+            stats,
+            want_parents=True,
+        )
+        full_mask = (1 << n) - 1
+        value, key = _final_value(table, full_mask, problem.semiring)
+        witness = None
+        if key is not None and value != problem.semiring.zero:
+            witness = _reconstruct(parents, full_mask, key)
+        stats.batch_resident_entries = stats.peak_resident_entries
+    stats.sweep_peak_entries = stats.peak_resident_entries
     stats.wall_time = time.monotonic() - t0
     return SolveResult(value=value, witness=witness, stats=stats)
 
@@ -299,21 +337,6 @@ def _padded_cost_fn(problem: PermutationProblem, n_padded: int):
     return padded
 
 
-def _group_chunk_filter(perm, system: SetSystem):
-    """Chunks c (over one group) whose permuted image lies in the system."""
-    ok = set()
-    for chunk in range(1 << system.n):
-        image = 0
-        rest = chunk
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            image |= 1 << perm[v]
-        if image in system:
-            ok.add(chunk)
-    return ok
-
-
 def _build_cover(system: SetSystem, cfg: SolverConfig) -> PermutationCover:
     if cfg.cover_strategy == "greedy":
         return greedy_cover(system)
@@ -322,13 +345,119 @@ def _build_cover(system: SetSystem, cfg: SolverConfig) -> PermutationCover:
     raise InvalidInstance(f"unknown cover strategy {cfg.cover_strategy!r}")
 
 
+def _product_family(system: SetSystem, s: int) -> np.ndarray:
+    """uint64 masks of A^s: one member of A per group of system.n elements."""
+    members = np.array(system.members, dtype=np.uint64)
+    family = np.zeros(1, dtype=np.uint64)
+    for i in range(s):
+        family = (family[:, None] | (members << np.uint64(i * system.n))).ravel()
+    return family
+
+
+def _tuple_labels(cover: PermutationCover, s: int, lo: int, hi: int) -> np.ndarray:
+    """Labelling rows of the cover tuples lo..hi-1, in ``itertools.product`` order.
+
+    The tuple (pi_1, ..., pi_s) admits a mask iff relabelling element v of
+    group i as pi_i(v) turns it into a member of A^s.  So its DP is the
+    DP over A^s in which element w of group i stands for the problem's
+    element pi_i^-1(w) of group i; a row lists those elements.
+    """
+    gn = cover.n
+    inverses = np.argsort(np.array(cover.perms, dtype=np.int64).reshape(-1, gn), axis=1)
+    digits = np.unravel_index(np.arange(lo, hi), (len(cover),) * s)
+    return np.hstack([inverses[d] + i * gn for i, d in enumerate(digits)])
+
+
+def _relabel(family: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """The masks of ``family`` with each bit x moved to bit inv[x]."""
+    out = np.zeros_like(family)
+    for x, y in enumerate(inv.tolist()):
+        out |= ((family >> np.uint64(x)) & np.uint64(1)) << np.uint64(y)
+    return out
+
+
+def _sweep_arrays(problem, cfg, family, n_padded, cover, s, stats):
+    """Value and witness of the sweep on the array kernel."""
+    n = problem.n
+    dp = ArrayDP(problem.arrays, n, family, n_padded, problem.degree, cfg.memory_budget)
+    tuples = len(cover) ** s
+    batch = dp.batch_size(tuples, cfg.memory_budget, keep_all=False)
+    stats.batch_resident_entries = batch * dp.entries(keep_all=False)
+    best_value, best_tuple = ARRAY_INF, 0
+    for lo in range(0, tuples, batch):
+        run = dp.run(_tuple_labels(cover, s, lo, min(lo + batch, tuples)))
+        stats.total_dp_updates += int(run.updates.sum())
+        stats.sweep_peak_entries = max(stats.sweep_peak_entries, run.sweep_peak())
+        row = int(np.argmin(run.values))
+        if run.values[row] < best_value:
+            best_value, best_tuple = int(run.values[row]), lo + row
+    if best_value >= ARRAY_INF:
+        return INF, None
+    dp.batch_size(1, cfg.memory_budget, keep_all=True)
+    inv = _tuple_labels(cover, s, best_tuple, best_tuple + 1)
+    run = dp.run(inv, keep_all=True)
+    stats.total_dp_updates += int(run.updates[0])
+    stats.witness_peak_entries = int(run.live[0].sum())
+    return best_value, dp.walk(run, inv[0])[:n]
+
+
+def _sweep_callback(problem, cfg, family, n_padded, cover, s, stats):
+    """Value and witness of the sweep on the callback DP, one tuple at a time."""
+    sr = problem.semiring
+    padded_cost = _padded_cost_fn(problem, n_padded)
+    full_mask = (1 << n_padded) - 1
+    pop = np.bitwise_count(family)
+    sweep, rerun = SolveStats(), SolveStats()
+
+    def run_tuple(t, run_stats, want_parents):
+        masks = _relabel(family, _tuple_labels(cover, s, t, t + 1)[0])
+        masks_by_popcount = [masks[pop == k].tolist() for k in range(n_padded + 1)]
+        return _subset_dp(
+            n_padded,
+            problem.degree,
+            sr,
+            padded_cost,
+            masks_by_popcount,
+            cfg.memory_budget,
+            run_stats,
+            want_parents=want_parents,
+        )
+
+    best_value = sr.zero
+    best_tuple = None
+    for t in range(len(cover) ** s):
+        table, _ = run_tuple(t, sweep, want_parents=False)
+        value, _ = _final_value(table, full_mask, sr)
+        merged = sr.add(best_value, value)
+        if best_tuple is None or (merged == value and merged != best_value):
+            best_tuple = t
+        best_value = merged
+
+    witness = None
+    if best_value != sr.zero and best_tuple is not None:
+        # re-run the winning tuple with parent tracking; keeps the sweep's
+        # peak space free of parent pointers
+        table, parents = run_tuple(best_tuple, rerun, want_parents=True)
+        _, key = _final_value(table, full_mask, sr)
+        if key is not None:
+            witness = _reconstruct(parents, full_mask, key)[: problem.n]
+    stats.total_dp_updates += sweep.total_dp_updates + rerun.total_dp_updates
+    stats.sweep_peak_entries = sweep.peak_resident_entries
+    stats.witness_peak_entries = rerun.peak_resident_entries
+    stats.batch_resident_entries = max(stats.sweep_peak_entries, stats.witness_peak_entries)
+    return best_value, witness
+
+
 def solve_chain_tradeoff(problem: PermutationProblem, cfg: SolverConfig) -> SolveResult:
     """Sweep cover tuples, running the restricted subset DP for each.
 
     The instance is padded to a multiple of the group size, one certified
     cover is built for the g-th power of the system and shared by all
     groups through the group bijections, and the per-tuple results are
-    combined with the idempotent addition.
+    combined with the idempotent addition.  Every tuple's admissible
+    masks are A^s relabelled, so a problem with an array form sweeps
+    the tuples in batches over one plan of A^s; any other runs the
+    callback DP per tuple on the relabelled masks.
     """
     sr = problem.semiring
     if not sr.idempotent:
@@ -347,52 +476,14 @@ def solve_chain_tradeoff(problem: PermutationProblem, cfg: SolverConfig) -> Solv
     cover = _build_cover(system, cfg)
     if not cover.certified:
         raise ResourceLimit("cover could not be certified")
+    if len(system) ** s > cfg.memory_budget:
+        raise ResourceLimit(f"|A|^{s} exceeds the memory budget")
 
     stats = SolveStats()
     stats.cover_product_size = len(cover) ** s
-    padded_cost = _padded_cost_fn(problem, n_padded)
-    full_mask = (1 << n_padded) - 1
-
-    chunk_filters = {perm: _group_chunk_filter(perm, system) for perm in cover.perms}
-
-    def run_tuple(perm_tuple, want_parents):
-        # admissible masks = products of allowed chunks per group
-        masks = [0]
-        for i, perm in enumerate(perm_tuple):
-            shift = i * gn
-            allowed = sorted(chunk_filters[perm])
-            masks = [m | (c << shift) for m in masks for c in allowed]
-        masks_by_popcount = [[] for _ in range(n_padded + 1)]
-        for m in masks:
-            masks_by_popcount[m.bit_count()].append(m)
-        return _subset_dp(
-            n_padded,
-            problem.degree,
-            sr,
-            padded_cost,
-            masks_by_popcount,
-            cfg.memory_budget,
-            stats,
-            want_parents=want_parents,
-        )
-
-    best_value = sr.zero
-    best_tuple = None
-    for perm_tuple in product(cover.perms, repeat=s):
-        table, _ = run_tuple(perm_tuple, want_parents=False)
-        value, _ = _final_value(table, full_mask, sr)
-        merged = sr.add(best_value, value)
-        if best_tuple is None or (merged == value and merged != best_value):
-            best_tuple = perm_tuple
-        best_value = merged
-
-    witness = None
-    if best_value != sr.zero and best_tuple is not None:
-        # re-run the winning tuple with parent tracking; keeps the sweep's
-        # peak space free of parent pointers
-        table, parents = run_tuple(best_tuple, want_parents=True)
-        _, key = _final_value(table, full_mask, sr)
-        if key is not None:
-            witness = _reconstruct(parents, full_mask, key)[:n]
+    family = _product_family(system, s)
+    sweep = _sweep_arrays if problem.arrays is not None else _sweep_callback
+    value, witness = sweep(problem, cfg, family, n_padded, cover, s, stats)
+    stats.peak_resident_entries = max(stats.sweep_peak_entries, stats.witness_peak_entries)
     stats.wall_time = time.monotonic() - t0
-    return SolveResult(value=best_value, witness=witness, stats=stats)
+    return SolveResult(value=value, witness=witness, stats=stats)

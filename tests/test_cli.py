@@ -71,6 +71,23 @@ class TestEfficiencyAndChains:
         assert code == 0
         assert doc["alpha"] == "18" and doc["lambda"] == "48"
 
+    def test_ideals_builtin_efficiency(self, capsys):
+        code, doc = run_json(capsys, ["efficiency", "--builtin", "ideals:matchcomp:4"])
+        assert code == 0
+        assert doc["size"] == "35" and doc["chains"] == "720"
+
+    def test_ideals_of_bucket_order_are_the_tower(self, capsys):
+        from chaineff.cli import _parse_builtin
+
+        kind, ideals = _parse_builtin("ideals:bucket:4:2")
+        assert kind == "setsystem"
+        assert ideals.members == _parse_builtin("tower:4:2")[1].members
+
+    @pytest.mark.parametrize("name", ["ideals:tower:2:2", "ideals:", "ideals:nosuch:3"])
+    def test_ideals_of_a_non_poset_exit_2(self, capsys, name):
+        assert run(["efficiency", "--builtin", name]) == 2
+        assert_one_line_error(capsys)
+
     def test_chains_tower(self, capsys):
         code, doc = run_json(capsys, ["chains", "--builtin", "tower:3:2"])
         assert code == 0 and doc["value"] == "36"
@@ -138,6 +155,26 @@ class TestSolve:
             ["--memory-budget", "2", "solve", "tsp", "--matrix", str(f), "--algo", "held-karp"]
         )
         assert code == 3
+
+    def test_tradeoff_memory_budget_exit_3(self, capsys, tmp_path):
+        f = tmp_path / "four.txt"
+        f.write_text(FOUR_CITY_TEXT)
+        argv = ["solve", "tsp", "--matrix", str(f), "--algo", "tradeoff", "--builtin", "tower:2:2"]
+        assert run(["--memory-budget", "2", *argv]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_tradeoff_on_an_ideal_family(self, capsys, tmp_path):
+        f = tmp_path / "six.txt"
+        weights = [[0 if i == j else (7 * i + 3 * j) % 11 for j in range(6)] for i in range(6)]
+        f.write_text("6\n" + "".join(" ".join(map(str, row)) + "\n" for row in weights))
+        base = ["solve", "tsp", "--matrix", str(f), "--algo"]
+        _, held_karp = run_json(capsys, [*base, "held-karp"])
+        code, doc = run_json(capsys, [*base, "tradeoff", "--builtin", "ideals:matchcomp:2"])
+        assert code == 0 and doc["value"] == held_karp["value"]
+        stats = doc["stats"]
+        assert stats["peakResidentEntries"] == max(
+            stats["sweepPeakEntries"], stats["witnessPeakEntries"], key=int
+        )
 
     def test_gs_memory_budget_exit_3(self, capsys, tmp_path):
         f = tmp_path / "four.txt"

@@ -145,6 +145,15 @@ class TestGreedyCover:
         assert len(cov.perms) <= cover_size_bound(n, c)
         assert brute_is_cover(a, cov.perms)
 
+    def test_bound_is_the_degree_bound(self, capsys):
+        # tower:4:2 has c = 576 = (4!)^2 chains and a greedy cover of n!/c = 70
+        bound = 70 * (1 + log(576))
+        assert cover_size_bound(8, 576) == pytest.approx(bound)
+        assert run(["cover", "--builtin", "tower:4:2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert int(doc["size"]) == 70
+        assert float(doc["greedy_bound"]) == pytest.approx(bound, rel=1e-9)
+
     def test_tower_cover(self):
         a = tower_of_cubes(2, 2)
         cov = greedy_cover(a)

@@ -1,5 +1,6 @@
 """Solver equivalence, witnesses, and space accounting."""
 
+import dataclasses
 import random
 import time
 from itertools import permutations
@@ -9,7 +10,7 @@ import pytest
 
 from chaineff.cover import greedy_cover
 from chaineff.errors import InvalidInstance, ResourceLimit, UnsupportedSemiring
-from chaineff.poset import make_matching_complement
+from chaineff.poset import DEFAULT_MEMORY_BUDGET, make_matching_complement
 from chaineff.semiring import (
     INF,
     MIN_PLUS,
@@ -22,10 +23,12 @@ from chaineff.semiring import (
     evaluate_permutation,
     tsp_as_permutation_problem,
 )
+from chaineff.arraydp import ArrayDP
 from chaineff.setsystem import from_poset_ideals, full_power_set, tower_of_cubes
 from chaineff.solver import (
     SolveStats,
     SolverConfig,
+    _product_family,
     _subset_dp,
     solve_chain_tradeoff,
     solve_gurevich_shelah,
@@ -292,3 +295,112 @@ class TestWallTime:
         res = solve_chain_tradeoff(prob, SolverConfig(set_system=tower_of_cubes(2, 2), g=1))
         assert len(built) == 1
         assert res.stats.wall_time >= built[0]
+
+
+def callback_only(prob):
+    """The same problem without its array form, so it runs the callback DP."""
+    return dataclasses.replace(prob, arrays=None)
+
+
+def zero_inf_tsp(rng, n):
+    """Weights 0..9 with about one in six INF, so some tours are forbidden."""
+    w = [
+        [0 if i == j else (INF if rng.random() < 1 / 6 else rng.randint(0, 9)) for j in range(n)]
+        for i in range(n)
+    ]
+    return TspInstance.from_matrix(w)
+
+
+def parallel_arc_dfas(rng, n):
+    arcs = [(i, j) for i in range(n) for j in range(n) if i != j and rng.random() < 0.4]
+    arcs += [arc for arc in arcs if rng.random() < 0.3]
+    return DfasInstance.from_arcs(n, arcs)
+
+
+class TestArrayKernel:
+    """The array kernel against the callback DP on the same problem."""
+
+    def assert_same(self, prob, solve):
+        fast, slow = solve(prob), solve(callback_only(prob))
+        assert fast.value == slow.value == brute_force_optimum(prob)
+        assert type(fast.value) is int or fast.value == INF
+        if fast.value == INF:
+            assert fast.witness is None and slow.witness is None
+        else:
+            assert evaluate_permutation(prob, fast.witness) == fast.value
+        for field in ("total_dp_updates", "peak_resident_entries", "sweep_peak_entries"):
+            assert getattr(fast.stats, field) == getattr(slow.stats, field), field
+        assert fast.stats.witness_peak_entries == slow.stats.witness_peak_entries
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_held_karp(self, seed):
+        rng = random.Random(700 + seed)
+        n = rng.randint(2, 8)
+        for prob in (
+            tsp_as_permutation_problem(zero_inf_tsp(rng, n)),
+            dfas_as_permutation_problem(parallel_arc_dfas(rng, n)),
+        ):
+            assert prob.arrays is not None
+            self.assert_same(prob, solve_held_karp)
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize(
+        "system, g, strategy",
+        [
+            (tower_of_cubes(2, 2), 1, "greedy"),
+            (from_poset_ideals(make_matching_complement(2)), 1, "random"),
+            (full_power_set(3), 1, "random"),
+            (tower_of_cubes(1, 2), 2, "greedy"),
+        ],
+        ids=["tower22", "matchcomp2-random", "power3-random", "tower12-g2"],
+    )
+    def test_tradeoff(self, seed, system, g, strategy):
+        # 5 or 6 elements over groups of 3 or 4: s = 2, and mostly padded
+        rng = random.Random(800 + seed)
+        n = rng.randint(5, 6)
+        cfg = SolverConfig(set_system=system, g=g, cover_strategy=strategy, seed=seed)
+        for prob in (
+            tsp_as_permutation_problem(zero_inf_tsp(rng, n + 1)),
+            dfas_as_permutation_problem(parallel_arc_dfas(rng, n)),
+        ):
+            assert ceil(prob.n / (system.n * g)) == 2
+            self.assert_same(prob, lambda p: solve_chain_tradeoff(p, cfg))
+
+    def test_sweep_and_witness_space_apart(self):
+        rng = random.Random(31)
+        prob = tsp_as_permutation_problem(random_tsp(rng, 10))
+        res = solve_chain_tradeoff(prob, SolverConfig(set_system=tower_of_cubes(3, 2)))
+        assert res.stats.sweep_peak_entries == 123
+        assert res.stats.witness_peak_entries == 376
+        assert res.stats.peak_resident_entries == 376
+        assert res.value == solve_held_karp(prob).value
+
+    def test_large_weights_take_the_exact_callback_path(self):
+        big = 1 << 60
+        w = [[0, big, 1, big], [big, 0, big, 1], [1, big, 0, big], [big, 1, big, 0]]
+        prob = tsp_as_permutation_problem(TspInstance.from_matrix(w))
+        assert prob.arrays is None
+        ref = brute_force_optimum(prob)
+        assert ref == 2 * big + 2
+        assert solve_held_karp(prob).value == ref
+        cfg = SolverConfig(set_system=tower_of_cubes(2, 2))
+        assert solve_chain_tradeoff(prob, cfg).value == ref
+
+    def test_budget_checks_a_whole_tuple_before_the_sweep(self):
+        prob = tsp_as_permutation_problem(random_tsp(random.Random(5), 8))
+        system = tower_of_cubes(2, 2)
+        family = _product_family(system, 2)
+        dp = ArrayDP(prob.arrays, prob.n, family, 8, prob.degree, DEFAULT_MEMORY_BUDGET)
+        for keep_all in (False, True):
+            fits = dp.plan_entries + dp.entries(keep_all)
+            assert dp.batch_size(36, fits, keep_all) == 1
+            assert dp.batch_size(36, fits + dp.entries(keep_all), keep_all) == 2
+            with pytest.raises(ResourceLimit):
+                dp.batch_size(36, fits - 1, keep_all)
+        res = solve_chain_tradeoff(prob, SolverConfig(set_system=system))
+        assert res.stats.batch_resident_entries == 36 * dp.entries(False)
+        # the plan alone passes this budget: no array of it is kept
+        with pytest.raises(ResourceLimit):
+            solve_chain_tradeoff(
+                prob, SolverConfig(set_system=system, memory_budget=dp.plan_entries - 1)
+            )
