@@ -188,33 +188,87 @@ def make_antichain(n: int) -> Poset:
 # Ideal enumeration and counting
 
 
-def enumerate_ideals(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):
-    """All ideals of p as bitmasks, sorted by (popcount, value)."""
-    n = p.n
-    pred = p.pred_mask
-    full = (1 << n) - 1
-    layers = [[0]]
-    total = 1
-    current = [0]
-    while current:
-        nxt = set()
-        for ideal in current:
-            free = full & ~ideal
-            while free:
-                v = (free & -free).bit_length() - 1
-                free &= free - 1
-                if pred[v] & ~ideal == 0:
-                    nxt.add(ideal | (1 << v))
-        total += len(nxt)
+def _ideal_layers(p: Poset, memory_budget: int):
+    """The ideals of p, one popcount layer at a time, as sorted uint64 masks.
+
+    The ideals yielded so far are checked against the budget before the
+    next layer's candidates are built.
+    """
+    pred = np.array(p.pred_mask, dtype=np.uint64)
+    bits = np.uint64(1) << np.arange(p.n, dtype=np.uint64)
+    layer = np.zeros(1, dtype=np.uint64)
+    total = 0
+    while layer.size:
+        total += layer.size
         if total > memory_budget:
             raise ResourceLimit(f"ideal lattice exceeds budget of {memory_budget} entries")
-        current = sorted(nxt)
-        if current:
-            layers.append(current)
-    out = []
-    for layer in layers:
-        out.extend(layer)
-    return out
+        yield layer
+        layer = _extend_ideals(layer, pred, bits)
+
+
+def _extend_ideals(layer, pred, bits):
+    """The ideals one element larger than those of ``layer``, sorted.
+
+    An ideal I extends by each v outside it whose predecessors it holds,
+    I & (pred[v] | v) == pred[v]; sorting removes the duplicates.
+    """
+    cand = np.concatenate([layer[(layer & (pv | bv)) == pv] | bv for pv, bv in zip(pred, bits)])
+    cand.sort()
+    first = np.ones(cand.size, dtype=bool)
+    first[1:] = cand[1:] != cand[:-1]
+    return cand[first]
+
+
+#: Parent lookups per block of the chain kernel, which keeps its working
+#: arrays near 3 MB; larger blocks were no faster on the counterexample.
+_CHAIN_BLOCK = 1 << 16
+
+
+def _parent_sums(block, k, prev, counts):
+    """Each member's sum of the counts of its parents found in ``prev``."""
+    # row j: each member less its j-th lowest element
+    parents = np.empty((k, block.size), dtype=np.uint64)
+    rest = block.copy()
+    for j in range(k):
+        low = rest & -rest
+        rest ^= low
+        np.bitwise_xor(block, low, out=parents[j])
+    at = np.searchsorted(prev, parents)
+    np.minimum(at, prev.size - 1, out=at)
+    found = prev[at] == parents
+    ways = np.zeros(parents.shape, dtype=object)
+    ways[found] = counts[at[found]]
+    return ways.sum(axis=0)
+
+
+def count_layer_chains(layers) -> int:
+    """Number of maximal chains of a family given as popcount layers.
+
+    ``layers`` yields sorted uint64 arrays of masks, the k-th holding the
+    members with k elements, from k = 0 up.  Every member of layer 0 counts
+    1; a later member counts the sum of its parents' counts, a parent being
+    the member less one element, found in the previous layer by binary
+    search (a missing parent contributes 0).  Returns the summed counts of
+    the last layer.  Counts reach 2^97 on the paper's families, so they are
+    Python ints in object arrays; only two layers are resident at a time.
+    """
+    layers = iter(layers)
+    prev = next(layers)
+    counts = np.ones(prev.size, dtype=object)
+    for k, layer in enumerate(layers, 1):
+        if not counts.size:
+            return 0
+        rows = max(1, _CHAIN_BLOCK // k)
+        nxt = np.empty(layer.size, dtype=object)
+        for start in range(0, layer.size, rows):
+            nxt[start : start + rows] = _parent_sums(layer[start : start + rows], k, prev, counts)
+        prev, counts = layer, nxt
+    return int(counts.sum())
+
+
+def enumerate_ideals(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):
+    """All ideals of p as bitmasks, sorted by (popcount, value)."""
+    return np.concatenate(list(_ideal_layers(p, memory_budget))).tolist()
 
 
 #: Entries in one block of an ideal kernel's working array (8 MB of
@@ -345,7 +399,7 @@ def count_ideals(
 ) -> int:
     """Exact number of ideals (down-sets) of p."""
     if method == "lattice":
-        return len(enumerate_ideals(p, memory_budget))
+        return sum(layer.size for layer in _ideal_layers(p, memory_budget))
     if method == "bipartite-sum":
         return _count_ideals_bipartite_sum(p, memory_budget)
     if method == "circulant-transfer":
@@ -375,19 +429,8 @@ def _count_extensions_brute(p: Poset) -> int:
 
 
 def _count_extensions_ideal_dp(p: Poset, memory_budget: int) -> int:
-    ideals = enumerate_ideals(p, memory_budget)
-    succ = p.succ_mask
-    lam = {0: 1}
-    for ideal in ideals[1:]:
-        acc = 0
-        rest = ideal
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            if succ[v] & ideal == 0:  # v maximal in the ideal
-                acc += lam[ideal & ~(1 << v)]
-        lam[ideal] = acc
-    return lam[ideals[-1]]
+    """Maximal chains of the ideal lattice, which are the linear extensions."""
+    return count_layer_chains(_ideal_layers(p, memory_budget))
 
 
 def _count_extensions_bipartite_fst(p: Poset, memory_budget: int) -> int:
@@ -542,13 +585,14 @@ def default_count_methods(p: Poset):
 
     For a circulant the cheaper ideal kernel by estimated work: the
     transfer trace makes about (m - w) * 4^w updates (w = max D), the
-    bipartite sum about 2^m.
+    bipartite sum about 2^m.  Its extensions are counted by orbit, which
+    keeps about 2^m / m rotation classes where bipartite-fst keeps 2^m sets.
     """
     if isinstance(p, CirculantBipartitePoset):
         w = max(p.offsets)
         cheaper = (p.m - w) * 4**w < 2**p.m
         ideal_method = "circulant-transfer" if cheaper else "bipartite-sum"
-        ext_method = "bipartite-fst" if p.m <= 22 else "orbit"
+        ext_method = "orbit"
     else:
         ideal_method = "lattice"
         ext_method = "ideal-dp"

@@ -8,9 +8,17 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .efficiency import EfficiencyReport, make_report
 from .errors import InvalidPermutation, InvalidSize, ResourceLimit
-from .poset import DEFAULT_MEMORY_BUDGET, MAX_ELEMENTS, Poset, enumerate_ideals
+from .poset import (
+    DEFAULT_MEMORY_BUDGET,
+    MAX_ELEMENTS,
+    Poset,
+    count_layer_chains,
+    enumerate_ideals,
+)
 
 
 class SetSystem:
@@ -24,7 +32,9 @@ class SetSystem:
             if m < 0 or m >> n:
                 raise InvalidSize(f"member {m:#x} outside universe of size {n}")
         self.n = n
-        self.members = tuple(sorted(member_set, key=lambda m: (bin(m).count("1"), m)))
+        # sorted() is stable, so a popcount sort of the sorted values
+        # orders by (popcount, value)
+        self.members = tuple(sorted(sorted(member_set), key=int.bit_count))
         self._member_set = frozenset(member_set)
 
     def __contains__(self, mask: int) -> bool:
@@ -90,21 +100,9 @@ def tower_of_cubes(t: int, k: int) -> SetSystem:
 def count_maximal_chains(a: SetSystem) -> int:
     """Exact number of maximal chains: sequences from the empty set to the
     full universe, adding one element per step, all members of the family."""
-    if 0 not in a:
-        return 0
-    ways = {0: 1}
-    for mask in a.members[1:]:
-        acc = 0
-        rest = mask
-        while rest:
-            bit = rest & -rest
-            rest &= rest - 1
-            prev = ways.get(mask & ~bit)
-            if prev is not None:
-                acc += prev
-        if acc:
-            ways[mask] = acc
-    return ways.get(a.full_mask, 0)
+    members = np.array(a.members, dtype=np.uint64)
+    ends = np.searchsorted(np.bitwise_count(members), np.arange(a.n + 2))
+    return count_layer_chains(members[ends[k] : ends[k + 1]] for k in range(a.n + 1))
 
 
 def chain_efficiency(a: SetSystem, chains: int | None = None) -> EfficiencyReport:

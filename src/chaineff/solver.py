@@ -253,9 +253,15 @@ class _TableAccountant:
 
 
 def _path_table(cities, w, acct, stats):
-    """dict (s, t) -> min length of an s-t path visiting exactly ``cities``."""
+    """dict (s, t) -> min length of an s-t path visiting exactly ``cities``.
+
+    The table's entries are charged to ``acct`` as they are created: those
+    of each split while the two sub-tables it reads are still resident, so
+    the peak counts the partial table.  The caller frees the table.
+    """
     k = len(cities)
     table = {}
+    charged = 0
     if k == 1:
         table[(cities[0], cities[0])] = 0
     elif k <= 3:
@@ -280,9 +286,11 @@ def _path_table(cities, w, acct, stats):
                     stats.total_dp_updates += 1
                     if cand < table.get((s, t), INF):
                         table[(s, t)] = cand
+            acct.alloc(len(table) - charged)
+            charged = len(table)
             acct.free(len(t_left))
             acct.free(len(t_right))
-    acct.alloc(len(table))
+    acct.alloc(len(table) - charged)
     return table
 
 
@@ -306,7 +314,7 @@ def solve_gurevich_shelah(
     for (s, t), cost in table.items():
         if s == 0 and t != 0:
             best = min(best, cost + inst.weights[t][0])
-    stats.peak_resident_entries = acct.peak + len(table)
+    stats.peak_resident_entries = acct.peak
     stats.wall_time = time.monotonic() - t0
     return SolveResult(value=best, witness=None, stats=stats)
 

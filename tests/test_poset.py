@@ -4,6 +4,7 @@ import importlib
 import random
 import sys
 from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -49,6 +50,41 @@ def brute_extensions(p):
         if all(pos[u] < pos[v] for u, v in p.covers):
             count += 1
     return count
+
+
+def bfs_ideals(p):
+    """Oracle: the ideals by a breadth-first search over Python sets, in
+    (popcount, value) order."""
+    full = (1 << p.n) - 1
+    layers = [[0]]
+    while layers[-1]:
+        nxt = set()
+        for ideal in layers[-1]:
+            free = full & ~ideal
+            while free:
+                v = (free & -free).bit_length() - 1
+                free &= free - 1
+                if p.pred_mask[v] & ~ideal == 0:
+                    nxt.add(ideal | (1 << v))
+        layers.append(sorted(nxt))
+    return [ideal for layer in layers for ideal in layer]
+
+
+def dict_ideal_dp(p):
+    """Oracle: linear extensions by a dict over the ideals, each summing
+    its predecessors without one maximal element."""
+    ideals = bfs_ideals(p)
+    lam = {0: 1}
+    for ideal in ideals[1:]:
+        acc = 0
+        rest = ideal
+        while rest:
+            v = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if p.succ_mask[v] & ideal == 0:  # v maximal in the ideal
+                acc += lam[ideal & ~(1 << v)]
+        lam[ideal] = acc
+    return lam[ideals[-1]]
 
 
 def lucas(n):
@@ -172,6 +208,52 @@ class TestIdealCounting:
         assert 0 in ideals and (1 << p.n) - 1 in ideals
 
 
+class TestLayerKernel:
+    """The layered numpy kernels against the set BFS and the dict DP."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_posets_match_oracles(self, seed):
+        rng = random.Random(900 + seed)
+        p = random_poset(rng, rng.randint(1, 10))
+        ideals = enumerate_ideals(p)
+        assert ideals == bfs_ideals(p)
+        assert all(type(ideal) is int for ideal in ideals)
+        assert count_ideals(p, "lattice") == len(ideals)
+        assert count_linear_extensions(p, "ideal-dp") == dict_ideal_dp(p)
+
+    @pytest.mark.parametrize(
+        "poset",
+        [lambda: make_bucket_order(13, 2), lambda: make_circulant(11, (0, 1, 3))],
+        ids=["bucket13x2", "c11"],
+    )
+    def test_ideal_order_matches_bfs(self, poset):
+        p = poset()
+        assert enumerate_ideals(p) == bfs_ideals(p)
+
+    def test_chain_of_64_sets_bit_63(self):
+        p = make_chain(64)
+        assert enumerate_ideals(p) == bfs_ideals(p) == [(1 << k) - 1 for k in range(65)]
+        assert count_linear_extensions(p, "ideal-dp") == dict_ideal_dp(p) == 1
+
+    def test_counts_past_uint64(self):
+        p = make_bucket_order(10, 4)
+        lam = count_linear_extensions(p, "ideal-dp")
+        assert lam == dict_ideal_dp(p) == factorial(10) ** 4
+        assert lam > 1 << 64
+
+    @pytest.mark.parametrize("method", ["lattice", "ideal-dp"])
+    def test_budget_is_the_ideal_count(self, method):
+        # bucket:13:2 has alpha = 2^14 - 1 = 16,383 ideals
+        p = make_bucket_order(13, 2)
+        count = count_ideals if method == "lattice" else count_linear_extensions
+        count(p, method, memory_budget=16383)
+        with pytest.raises(ResourceLimit):
+            count(p, method, memory_budget=16382)
+        assert len(enumerate_ideals(p, memory_budget=16383)) == 16383
+        with pytest.raises(ResourceLimit):
+            enumerate_ideals(p, memory_budget=16382)
+
+
 class TestDefaultMethods:
     """The default ideal kernel for a circulant is the cheaper estimate."""
 
@@ -191,6 +273,19 @@ class TestDefaultMethods:
 
     def test_general_poset_uses_lattice(self):
         assert default_count_methods(make_chain(4)) == ("lattice", "ideal-dp")
+
+    @pytest.mark.parametrize(
+        "poset",
+        [
+            lambda: make_matching_complement(12),
+            lambda: make_circulant(18, (0, 1, 3, 6)),
+            lambda: make_circulant(22, (0, 2)),
+            lambda: make_circulant(29, (0, 1, 3, 6, 10, 15)),
+        ],
+        ids=["matchcomp12", "m18", "m22", "m29"],
+    )
+    def test_circulant_extensions_use_orbit(self, poset):
+        assert default_count_methods(poset())[1] == "orbit"
 
 
 class TestExtensionCounting:

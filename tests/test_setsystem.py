@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from chaineff.errors import InvalidSize
-from chaineff.poset import Poset, count_linear_extensions
+from chaineff.poset import Poset, count_linear_extensions, make_chain
 from chaineff.setsystem import (
     SetSystem,
     cartesian_power,
@@ -35,6 +35,24 @@ def brute_chains(a):
                 break
         count += ok
     return count
+
+
+def dict_chains(a):
+    """Oracle: maximal chains by a dict over the members in (popcount,
+    value) order, each summing the members it extends by one element."""
+    if 0 not in a:
+        return 0
+    ways = {0: 1}
+    for mask in a.members[1:]:
+        acc = 0
+        rest = mask
+        while rest:
+            bit = rest & -rest
+            rest &= rest - 1
+            acc += ways.get(mask & ~bit, 0)
+        if acc:
+            ways[mask] = acc
+    return ways.get(a.full_mask, 0)
 
 
 def random_system(rng, n):
@@ -73,6 +91,27 @@ class TestChainCounting:
         # blocks evolve independently: c = (t!)^k
         for t, k in [(2, 2), (3, 2), (2, 3)]:
             assert count_maximal_chains(tower_of_cubes(t, k)) == factorial(t) ** k
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_sparse_families_match_dict(self, seed):
+        # Few members: most have missing parents, many have no chain.
+        rng = random.Random(700 + seed)
+        n = rng.randint(1, 9)
+        members = {rng.randrange(1 << n) for _ in range(rng.randint(1, 3 * n))}
+        with_ends = SetSystem(n, members | {0, (1 << n) - 1})
+        assert count_maximal_chains(with_ends) == dict_chains(with_ends)
+        without_empty = SetSystem(n, (members | {(1 << n) - 1}) - {0})
+        assert count_maximal_chains(without_empty) == dict_chains(without_empty) == 0
+
+    def test_chain_through_bit_63(self):
+        a = from_poset_ideals(make_chain(64))
+        assert count_maximal_chains(a) == dict_chains(a) == 1
+
+    def test_counts_past_uint64(self):
+        a = tower_of_cubes(10, 4)
+        chains = count_maximal_chains(a)
+        assert chains == dict_chains(a) == factorial(10) ** 4
+        assert chains > 1 << 64
 
     def test_tower_size(self):
         for t, k in [(2, 2), (3, 2), (17, 2)]:
@@ -129,6 +168,14 @@ class TestEfficiency:
 
 
 class TestValidationAndText:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_members_sorted_by_popcount_then_value(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 64)
+        masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 300))]
+        a = SetSystem(n, masks)
+        assert a.members == tuple(sorted(set(masks), key=lambda m: (bin(m).count("1"), m)))
+
     def test_rejects_out_of_range_member(self):
         with pytest.raises(InvalidSize):
             SetSystem(2, [0, 0b100])

@@ -101,6 +101,14 @@ class TestGurevichShelah:
         res = solve_gurevich_shelah(inst)
         assert res.stats.peak_resident_entries <= 8 * n * n * (ceil(log2(n)) + 1)
 
+    def test_peak_counts_partial_tables(self):
+        # The finished table of N(N-1) pairs, plus the partial and
+        # sub-tables resident while it fills, each counted once.
+        peaks = [16, 28, 42, 60, 84, 108, 138, 168, 204]
+        for n, peak in zip(range(4, 13), peaks):
+            res = solve_gurevich_shelah(random_tsp(random.Random(n), n))
+            assert res.stats.peak_resident_entries == peak
+
 
 class TestChainTradeoff:
     def systems(self):
