@@ -60,7 +60,7 @@ EXIT_RESOURCE = 3
 
 
 def _emit(doc) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _read_file(path: str) -> str:

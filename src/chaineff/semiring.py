@@ -162,26 +162,37 @@ class DfasInstance:
         return cls(n, arcs)
 
 
+def tsp_weight_array(inst: TspInstance) -> np.ndarray | None:
+    """The weights as int64, ARRAY_INF for INF and on the ignored diagonal.
+
+    A tour or path has at most N edges, so N times the largest finite
+    weight bounds every finite sum; the array is returned only when that
+    bound is below ARRAY_INF, and None otherwise.
+    """
+    n = inst.n
+    off = [[x for j, x in enumerate(row) if j != i] for i, row in enumerate(inst.weights)]
+    largest = max((x for row in off for x in row if x != INF), default=0)
+    if n * largest >= ARRAY_INF:
+        return None
+    m = np.full((n, n), ARRAY_INF, dtype=np.int64)
+    m[~np.eye(n, dtype=bool)] = [ARRAY_INF if x == INF else x for row in off for x in row]
+    return m
+
+
 def tsp_as_permutation_problem(inst: TspInstance) -> PermutationProblem:
     """Encode TSP as a min-plus problem of degree 2 over cities 1..N-1.
 
     Tours are anchored at city 0: element e stands for city e+1, the
     opening edge is charged at j=1 and the closing edge at j=N-1, so the
-    minimum over all permutations is the optimal tour length.  A tour has
-    N edges, so N times the largest finite weight bounds every finite
-    tour; the array form is attached only when that bound is below
-    ARRAY_INF.
+    minimum over all permutations is the optimal tour length.  The array
+    form is attached when ``tsp_weight_array`` gives one.
     """
     n = inst.n
     w = inst.weights
     last_pos = n - 1
-    largest = max(
-        (x for i, row in enumerate(w) for j, x in enumerate(row) if i != j and x != INF),
-        default=0,
-    )
+    m = tsp_weight_array(inst)
     arrays = None
-    if n * largest < ARRAY_INF:
-        m = np.array([[ARRAY_INF if x == INF else x for x in row] for row in w], dtype=np.int64)
+    if m is not None:
         arrays = ArrayCosts(first=m[0, 1:], last=m[1:, 0], pair=m[1:, 1:])
 
     def cost(prefix_mask: int, window: tuple):

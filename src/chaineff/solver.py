@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations, permutations
-from math import ceil
+from math import ceil, comb, factorial
 
 import numpy as np
 
-from .arraydp import ArrayDP
+from .arraydp import SCRATCH_ENTRIES, ArrayDP
 from .cover import PermutationCover, greedy_cover, randomized_cover
 from .errors import (
     InvalidInstance,
@@ -24,7 +25,14 @@ from .errors import (
     UnsupportedSemiring,
 )
 from .poset import DEFAULT_MEMORY_BUDGET
-from .semiring import ARRAY_INF, INF, PermutationProblem, Semiring, TspInstance
+from .semiring import (
+    ARRAY_INF,
+    INF,
+    PermutationProblem,
+    Semiring,
+    TspInstance,
+    tsp_weight_array,
+)
 from .setsystem import SetSystem, cartesian_power
 
 
@@ -38,7 +46,8 @@ class SolveStats:
     ``batch_resident_entries`` is the table space the memory budget was
     checked against: a batch of dense per-tuple tables on the array kernel
     (the budget also holds its plan), the finite entries held on the
-    callback DP.
+    callback DP.  For gs the peaks are those of the sequential recursion,
+    and ``batch_resident_entries`` bounds its batched kernel's arrays.
     """
 
     peak_resident_entries: int = 0
@@ -234,64 +243,124 @@ def solve_held_karp(
 
 # ---------------------------------------------------------------------------
 # Divide-and-conquer TSP in polynomial space
+#
+# A node is a set of k cities, and its table T[s, t] is the least length
+# of an s-t path through exactly those cities.  A leaf (k <= 3) has one
+# ordering per pair s != t, so its table is read off its k! orderings.  A
+# larger node splits its cities every way into a first half of ceil(k / 2)
+# and the rest, in ``itertools.combinations`` order; the split (L, R)
+# offers min over u, v of T_L[s, u] + w[u, v] + T_R[v, t] for s in L and
+# t in R, and the node's table is the minimum over its splits.
+#
+# The kernel runs a batch of nodes of one size along axis 0 and a node's
+# splits along axis 1, so that a node's whole subtree is a few numpy
+# passes.  Its space figure is that of the sequential recursion instead,
+# which keeps only finite entries and runs a split's halves one after the
+# other.  With c_i the finite entries of a node's table after its first i
+# splits, that recursion holds, relative to the node's start, c_{i-1} plus
+# the left half's peak, then c_{i-1} + |T_L| plus the right half's peak,
+# then c_i + |T_L| + |T_R| before it frees both halves.  A node's peak P is
+# the largest of these over its splits, and a leaf's is |T|.
 
 
-class _TableAccountant:
-    def __init__(self, memory_budget):
-        self.budget = memory_budget
-        self.current = 0
-        self.peak = 0
-
-    def alloc(self, size):
-        self.current += size
-        self.peak = max(self.peak, self.current)
-        if self.current > self.budget:
-            raise ResourceLimit("path tables exceed the memory budget")
-
-    def free(self, size):
-        self.current -= size
+@cache
+def _leaf_plan(k: int) -> np.ndarray:
+    """(k!, k) the orderings of k positions."""
+    return np.array(list(permutations(range(k))), dtype=np.intp)
 
 
-def _path_table(cities, w, acct, stats):
-    """dict (s, t) -> min length of an s-t path visiting exactly ``cities``.
+@cache
+def _split_plan(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S, ceil(k/2)) first halves and (S, rest) second halves of k positions."""
+    left = np.array(list(combinations(range(k), ceil(k / 2))), dtype=np.intp)
+    rest = np.ones((len(left), k), dtype=bool)
+    rest[np.arange(len(left))[:, None], left] = False
+    return left, np.nonzero(rest)[1].reshape(len(left), -1)
 
-    The table's entries are charged to ``acct`` as they are created: those
-    of each split while the two sub-tables it reads are still resident, so
-    the peak counts the partial table.  The caller frees the table.
+
+@cache
+def _footprint(k: int) -> tuple[int, int]:
+    """Entries one k-city node's arrays hold, per batch row: (whole, own per split).
+
+    A leaf holds its orderings' cities, their costs, one gathered step and
+    its table.  A node holds its table and the carried minimum; a split
+    adds its slot of the running minimum, its halves' cities and the
+    weights between them, the two-stage minimum's sums and results, and
+    its halves' subtrees.  ``whole`` runs every split at once.
     """
-    k = len(cities)
-    table = {}
-    charged = 0
-    if k == 1:
-        table[(cities[0], cities[0])] = 0
-    elif k <= 3:
-        for sigma in permutations(cities):
-            cost = 0
-            for a, b in zip(sigma, sigma[1:]):
-                cost += w[a][b]
-                stats.total_dp_updates += 1
-            key = (sigma[0], sigma[-1])
-            if cost < table.get(key, INF):
-                table[key] = cost
-    else:
-        half = ceil(k / 2)
-        for left_sel in combinations(cities, half):
-            left = list(left_sel)
-            right = [c for c in cities if c not in left_sel]
-            t_left = _path_table(left, w, acct, stats)
-            t_right = _path_table(right, w, acct, stats)
-            for (s, u), cost_l in t_left.items():
-                for (v, t), cost_r in t_right.items():
-                    cand = cost_l + w[u][v] + cost_r
-                    stats.total_dp_updates += 1
-                    if cand < table.get((s, t), INF):
-                        table[(s, t)] = cand
-            acct.alloc(len(table) - charged)
-            charged = len(table)
-            acct.free(len(t_left))
-            acct.free(len(t_right))
-    acct.alloc(len(table) - charged)
-    return table
+    if k <= 3:
+        return factorial(k) * (k + 2) + k * k, 0
+    h = ceil(k / 2)
+    r = k - h
+    own = k + k * k + h * r * (3 + h + r)
+    return 2 * k * k + comb(k, h) * (own + _footprint(h)[0] + _footprint(r)[0]), own
+
+
+def _finite(tables: np.ndarray, inf) -> np.ndarray:
+    """Finite entries of each table on the last two axes."""
+    finite = tables < inf
+    return finite.reshape(*finite.shape[:-2], -1).sum(axis=-1)
+
+
+def _path_tables(sets: np.ndarray, w: np.ndarray, inf, stats: SolveStats):
+    """Tables of a batch of sorted city sets (B, k): (B, k, k) tables, (B,) peaks, held.
+
+    Tables hold ``inf`` where no path exists.  The node's splits run at
+    once when its whole subtree fits SCRATCH_ENTRIES, else in chunks of as
+    many as fit, at least one.  ``held`` bounds the entries the arrays of
+    this call and its subtree hold at once, counting a pass's arrays as
+    all live together; the updates of the sequential recursion, |T_L| *
+    |T_R| finite pairs per split and k! (k - 1) steps per leaf, are added
+    to ``stats``.
+    """
+    rows, k = sets.shape
+    if k <= 3:
+        perms = _leaf_plan(k)
+        cities = sets[:, perms]
+        cost = np.zeros((rows, len(perms)), dtype=w.dtype)
+        for j in range(k - 1):
+            cost += w[cities[:, :, j], cities[:, :, j + 1]]
+        table = np.full((rows, k, k), inf, dtype=w.dtype)
+        table[:, perms[:, 0], perms[:, -1]] = np.minimum(cost, inf)
+        stats.total_dp_updates += rows * len(perms) * (k - 1)
+        return table, _finite(table, inf), rows * _footprint(k)[0]
+    left, right = _split_plan(k)
+    h, r = left.shape[1], right.shape[1]
+    _, own = _footprint(k)
+    per_split = own + _footprint(h)[0] + _footprint(r)[0]
+    chunk = min(len(left), max(1, (SCRATCH_ENTRIES - 2 * rows * k * k) // (rows * per_split)))
+    table = np.full((rows, k, k), inf, dtype=w.dtype)
+    peak = np.zeros(rows, dtype=np.int64)
+    held = 0
+    for lo in range(0, len(left), chunk):
+        lp, rp = left[lo : lo + chunk], right[lo : lo + chunk]
+        c = len(lp)
+        ls, rs = sets[:, lp].reshape(-1, h), sets[:, rp].reshape(-1, r)
+        t_left, p_left, held_left = _path_tables(ls, w, inf, stats)
+        t_right, p_right, held_right = _path_tables(rs, w, inf, stats)
+        n_left, n_right = _finite(t_left, inf), _finite(t_right, inf)
+        stats.total_dp_updates += int(n_left @ n_right)
+        # via[s, v] = min_u T_L[s, u] + w[u, v]; block[s, t] = min_v via[s, v] + T_R[v, t]
+        via = (t_left[:, :, :, None] + w[ls[:, None, :, None], rs[:, None, None, :]]).min(axis=2)
+        block = (via[:, :, :, None] + t_right[:, None, :, :]).min(axis=2)
+        # slot 0 carries the table so far, which starts at inf, so the
+        # minimum along the splits also keeps every entry at most inf
+        acc = np.full((rows, c + 1, k, k), inf, dtype=w.dtype)
+        acc[:, 0] = table
+        slot = np.arange(1, c + 1)[:, None, None]
+        acc[:, slot, lp[:, :, None], rp[:, None, :]] = block.reshape(rows, c, h, r)
+        np.minimum.accumulate(acc, axis=1, out=acc)
+        sizes = _finite(acc, inf)
+        before, after = sizes[:, :-1], sizes[:, 1:]
+        n_left, n_right = n_left.reshape(rows, c), n_right.reshape(rows, c)
+        p_left, p_right = p_left.reshape(rows, c), p_right.reshape(rows, c)
+        steps = np.maximum(
+            np.maximum(before + p_left, before + n_left + p_right), after + n_left + n_right
+        )
+        np.maximum(peak, steps.max(axis=1), out=peak)
+        table = acc[:, -1].copy()
+        held = max(held, rows * (2 * k * k + c * own) + held_left + held_right)
+    return table, peak, held
 
 
 def solve_gurevich_shelah(
@@ -302,21 +371,33 @@ def solve_gurevich_shelah(
     Recursively splits the city set in halves, combining all-pairs path
     tables; anchoring matches tsp_as_permutation_problem (tours start at
     city 0), so the optimum equals the adapter's permutation optimum.
+    Runs on int64 with ARRAY_INF when ``tsp_weight_array`` gives the
+    weights, and on Python objects with INF otherwise.  The budget must
+    hold the full tables of one split, every pair s != t of the N cities
+    and of its two halves, before any array is made, and the sequential
+    recursion's peak after; ``batch_resident_entries`` reports the
+    kernel's arrays apart.
     """
-    if inst.n < 2:
+    n = inst.n
+    if n < 2:
         raise InvalidInstance("TSP needs at least 2 cities")
     stats = SolveStats()
     t0 = time.monotonic()
-    acct = _TableAccountant(memory_budget)
-    table = _path_table(list(range(inst.n)), inst.weights, acct, stats)
-    acct.free(len(table))
-    best = INF
-    for (s, t), cost in table.items():
-        if s == 0 and t != 0:
-            best = min(best, cost + inst.weights[t][0])
-    stats.peak_resident_entries = acct.peak
+    halves = (ceil(n / 2), n // 2) if n > 3 else ()
+    if sum(k * (k - 1) for k in (n, *halves)) > memory_budget:
+        raise ResourceLimit("the path tables of one split exceed the memory budget")
+    w = tsp_weight_array(inst)
+    inf = ARRAY_INF
+    if w is None:
+        w, inf = np.array(inst.weights, dtype=object), INF
+    table, peak, held = _path_tables(np.arange(n)[None], w, inf, stats)
+    stats.peak_resident_entries = stats.sweep_peak_entries = int(peak[0])
+    stats.batch_resident_entries = held
+    if stats.peak_resident_entries > memory_budget:
+        raise ResourceLimit("path tables exceed the memory budget")
+    best = (table[0, 0, 1:] + w[1:, 0]).min()
     stats.wall_time = time.monotonic() - t0
-    return SolveResult(value=best, witness=None, stats=stats)
+    return SolveResult(value=INF if best >= inf else int(best), witness=None, stats=stats)
 
 
 # ---------------------------------------------------------------------------

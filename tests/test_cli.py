@@ -122,6 +122,9 @@ class TestSolve:
         for algo in ("held-karp", "gs"):
             code, doc = run_json(capsys, ["solve", "tsp", "--matrix", str(f), "--algo", algo])
             assert code == 0 and doc["value"] == "14"
+        stats = doc["stats"]
+        assert stats["peakResidentEntries"] == stats["sweepPeakEntries"] == "16"
+        assert int(stats["batchResidentEntries"]) > 0
         code, doc = run_json(
             capsys,
             ["solve", "tsp", "--matrix", str(f), "--algo", "tradeoff", "--builtin", "tower:2:2"],
@@ -229,3 +232,28 @@ class TestVerify:
         run(["bounds", "improved"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["count", "ideals", "--builtin", "matchcomp:3"],
+            ["efficiency", "--builtin", "tower:2:2"],
+            ["chains", "--builtin", "tower:2:2"],
+            ["cover", "--builtin", "tower:2:2"],
+            ["bounds", "improved"],
+            ["verify", "kp-baseline"],
+            ["solve", "tsp", "--matrix", "{four}", "--algo", "held-karp"],
+            ["solve", "tsp", "--matrix", "{four}", "--algo", "gs"],
+            ["solve", "tsp", "--matrix", "{four}", "--algo", "tradeoff", "--builtin", "tower:2:2"],
+        ],
+        ids=lambda argv: argv[5] if argv[0] == "solve" else argv[0],
+    )
+    def test_output_is_one_line_of_json(self, capsys, tmp_path, argv):
+        f = tmp_path / "four.txt"
+        f.write_text(FOUR_CITY_TEXT)
+        assert run([arg.format(four=f) for arg in argv]) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 and out.endswith("\n")
+        assert isinstance(json.loads(out), dict)

@@ -3,7 +3,7 @@
 import dataclasses
 import random
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 from math import ceil, comb, factorial, log2, perm
 
 import pytest
@@ -23,11 +23,12 @@ from chaineff.semiring import (
     evaluate_permutation,
     tsp_as_permutation_problem,
 )
-from chaineff.arraydp import ArrayDP
+from chaineff.arraydp import SCRATCH_ENTRIES, ArrayDP
 from chaineff.setsystem import from_poset_ideals, full_power_set, tower_of_cubes
 from chaineff.solver import (
     SolveStats,
     SolverConfig,
+    _footprint,
     _product_family,
     _subset_dp,
     solve_chain_tradeoff,
@@ -75,6 +76,77 @@ class TestHeldKarp:
         assert res.value == pytest.approx(24 * 16.0)
 
 
+class _TableAccountant:
+    def __init__(self, memory_budget):
+        self.budget = memory_budget
+        self.current = 0
+        self.peak = 0
+
+    def alloc(self, size):
+        self.current += size
+        self.peak = max(self.peak, self.current)
+        if self.current > self.budget:
+            raise ResourceLimit("path tables exceed the memory budget")
+
+    def free(self, size):
+        self.current -= size
+
+
+def _path_table(cities, w, acct, stats):
+    """dict (s, t) -> min length of an s-t path visiting exactly ``cities``.
+
+    The reference recursion for the gs kernel.  The table's entries are
+    charged to ``acct`` as they are created: those of each split while the
+    two sub-tables it reads are still resident, so the peak counts the
+    partial table.  The caller frees the table.
+    """
+    k = len(cities)
+    table = {}
+    charged = 0
+    if k == 1:
+        table[(cities[0], cities[0])] = 0
+    elif k <= 3:
+        for sigma in permutations(cities):
+            cost = 0
+            for a, b in zip(sigma, sigma[1:]):
+                cost += w[a][b]
+                stats.total_dp_updates += 1
+            key = (sigma[0], sigma[-1])
+            if cost < table.get(key, INF):
+                table[key] = cost
+    else:
+        half = ceil(k / 2)
+        for left_sel in combinations(cities, half):
+            left = list(left_sel)
+            right = [c for c in cities if c not in left_sel]
+            t_left = _path_table(left, w, acct, stats)
+            t_right = _path_table(right, w, acct, stats)
+            for (s, u), cost_l in t_left.items():
+                for (v, t), cost_r in t_right.items():
+                    cand = cost_l + w[u][v] + cost_r
+                    stats.total_dp_updates += 1
+                    if cand < table.get((s, t), INF):
+                        table[(s, t)] = cand
+            acct.alloc(len(table) - charged)
+            charged = len(table)
+            acct.free(len(t_left))
+            acct.free(len(t_right))
+    acct.alloc(len(table) - charged)
+    return table
+
+
+def dict_gurevich_shelah(inst):
+    """(value, updates, peak) of the reference recursion."""
+    stats = SolveStats()
+    acct = _TableAccountant(DEFAULT_MEMORY_BUDGET)
+    table = _path_table(list(range(inst.n)), inst.weights, acct, stats)
+    best = INF
+    for (s, t), cost in table.items():
+        if s == 0 and t != 0:
+            best = min(best, cost + inst.weights[t][0])
+    return best, stats.total_dp_updates, acct.peak
+
+
 class TestGurevichShelah:
     def test_four_city(self):
         assert solve_gurevich_shelah(TspInstance.from_matrix(FOUR_CITY)).value == 14
@@ -108,6 +180,51 @@ class TestGurevichShelah:
         for n, peak in zip(range(4, 13), peaks):
             res = solve_gurevich_shelah(random_tsp(random.Random(n), n))
             assert res.stats.peak_resident_entries == peak
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_kernel_matches_dict_recursion(self, n):
+        rng = random.Random(900 + n)
+        inst = zero_inf_tsp(rng, n)
+        w = [list(row) for row in inst.weights]
+        row = rng.randrange(n)
+        w[row] = [0 if j == row else INF for j in range(n)]
+        for case in (inst, TspInstance.from_matrix(w)):
+            res = solve_gurevich_shelah(case)
+            stats = res.stats
+            got = (res.value, stats.total_dp_updates, stats.peak_resident_entries)
+            assert got == dict_gurevich_shelah(case)
+            assert type(res.value) is int or res.value == INF
+            assert stats.sweep_peak_entries == stats.peak_resident_entries
+
+    def test_large_weights_are_exact(self):
+        rng = random.Random(41)
+        big = 1 << 60
+        w = [[0 if i == j else rng.choice([big + rng.randint(0, 9), 1, INF]) for j in range(6)]
+             for i in range(6)]
+        inst = TspInstance.from_matrix(w)
+        res = solve_gurevich_shelah(inst)
+        assert res.value == brute_force_optimum(tsp_as_permutation_problem(inst))
+        assert res.value >= big and type(res.value) is int
+        assert (res.value, res.stats.total_dp_updates, res.stats.peak_resident_entries) == (
+            dict_gurevich_shelah(inst)
+        )
+
+    @pytest.mark.parametrize("n", [3, 4, 10])
+    def test_budget_holds_the_peak(self, n):
+        inst = random_tsp(random.Random(n), n)
+        peak = solve_gurevich_shelah(inst).stats.peak_resident_entries
+        res = solve_gurevich_shelah(inst, memory_budget=peak)
+        assert res.value == dict_gurevich_shelah(inst)[0]
+        with pytest.raises(ResourceLimit):
+            solve_gurevich_shelah(inst, memory_budget=peak - 1)
+
+    def test_batch_is_reported_apart(self):
+        # up to 7 cities the whole tree runs at once; at 11 the root's splits run in chunks
+        for n in (6, 7):
+            stats = solve_gurevich_shelah(random_tsp(random.Random(n), n)).stats
+            assert stats.batch_resident_entries == _footprint(n)[0] <= SCRATCH_ENTRIES
+        stats = solve_gurevich_shelah(random_tsp(random.Random(11), 11)).stats
+        assert stats.batch_resident_entries <= SCRATCH_ENTRIES < _footprint(11)[0]
 
 
 class TestChainTradeoff:
@@ -393,6 +510,15 @@ class TestArrayKernel:
         assert solve_held_karp(prob).value == ref
         cfg = SolverConfig(set_system=tower_of_cubes(2, 2))
         assert solve_chain_tradeoff(prob, cfg).value == ref
+
+    def test_diagonal_is_ignored(self):
+        w = [[0 if i == j else (3 * i + j) % 7 for j in range(5)] for i in range(5)]
+        w[2][2] = 1 << 70
+        inst = TspInstance.from_matrix(w)
+        prob = tsp_as_permutation_problem(inst)
+        assert prob.arrays is not None
+        ref = brute_force_optimum(prob)
+        assert solve_held_karp(prob).value == solve_gurevich_shelah(inst).value == ref
 
     def test_budget_checks_a_whole_tuple_before_the_sweep(self):
         prob = tsp_as_permutation_problem(random_tsp(random.Random(5), 8))
