@@ -245,7 +245,7 @@ def _cmd_cover(args) -> int:
         cov = greedy_cover(a)
         seed = None
     else:
-        cov = randomized_cover(a, args.seed, args.factor)
+        cov = randomized_cover(a, args.seed)
         seed = args.seed
     chains = count_maximal_chains(a)
     _emit(
@@ -274,7 +274,6 @@ def _solve_common(problem, args, inst=None) -> int:
             g=args.g,
             cover_strategy=args.strategy,
             seed=args.seed,
-            size_factor=args.factor,
             memory_budget=args.memory_budget,
         )
         result = solve_chain_tradeoff(problem, cfg)
@@ -491,7 +490,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cover.add_argument("--builtin")
     p_cover.add_argument("--strategy", choices=["greedy", "random"], default="greedy")
     p_cover.add_argument("--seed", type=int, default=0)
-    p_cover.add_argument("--factor", type=float, default=2.0)
     p_cover.set_defaults(func=_cmd_cover)
 
     p_solve = sub.add_parser("solve")
@@ -510,7 +508,6 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--g", type=int, default=1)
         sp.add_argument("--strategy", choices=["greedy", "random"], default="greedy")
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--factor", type=float, default=2.0)
 
     p_bounds = sub.add_parser("bounds")
     bounds_sub = p_bounds.add_subparsers(dest="bound", required=True)

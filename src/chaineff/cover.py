@@ -8,15 +8,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import ceil, factorial, log
+from math import factorial, log
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPermutation, NoChains, ResourceLimit
-from .setsystem import SetSystem, count_maximal_chains
+from .setsystem import SetSystem, count_maximal_chains  # noqa: F401 (bench/spans.py wraps it here)
 
-GREEDY_MAX_N = 8
-VERIFY_MAX_N = 8
+# covers are built and verified over all of S_n, and ``_ranks`` keeps the
+# used images of a permutation in a uint8 bitmask
+MAX_N = 8
 # permutation entries composed in one numpy pass; bounds the scratch arrays,
 # about 1 MB for verify_cover at n = 7
 _BLOCK = 1 << 18
@@ -27,7 +28,6 @@ class PermutationCover:
     n: int
     perms: tuple
     certified: bool
-    note: str = ""
 
     def __len__(self):
         return len(self.perms)
@@ -97,6 +97,17 @@ def _chain_table(a: SetSystem):
     return np.array(chain_permutations(a), dtype=np.uint8).reshape(-1, a.n)
 
 
+def _covered_ranks(perms, chains):
+    """Ranks of the permutations that the rows of a uint8 table cover, in
+    blocks of rows: a block's row i lists pi_i^-1 . c over the chains c."""
+    n = chains.shape[1]
+    inverses = np.argsort(perms.reshape(-1, n), axis=1).astype(np.uint8)
+    step = max(1, _BLOCK // (len(chains) * n))
+    for lo in range(0, len(inverses), step):
+        block = inverses[lo : lo + step][:, chains].reshape(-1, n)
+        yield _ranks(block).reshape(-1, len(chains))
+
+
 def greedy_cover(a: SetSystem) -> PermutationCover:
     """Certified cover by greedy set cover over the universe S_n.
 
@@ -109,8 +120,8 @@ def greedy_cover(a: SetSystem) -> PermutationCover:
     the first maximum) for reproducibility.
     """
     n = a.n
-    if n > GREEDY_MAX_N:
-        raise ResourceLimit(f"greedy cover materializes S_n; capped at n = {GREEDY_MAX_N}")
+    if n > MAX_N:
+        raise ResourceLimit(f"greedy cover materializes S_n; capped at n = {MAX_N}")
     chains = _chain_table(a)
     if not len(chains):
         raise NoChains("set system has no maximal chain")
@@ -133,7 +144,7 @@ def greedy_cover(a: SetSystem) -> PermutationCover:
         for lo in range(0, len(fresh), step):
             lost = _ranks(chains[:, inverses[fresh[lo : lo + step]]].reshape(-1, n))
             gains -= np.bincount(lost, minlength=len(gains)).astype(np.int32)
-    return PermutationCover(n=n, perms=tuple(chosen), certified=True, note="greedy")
+    return PermutationCover(n=n, perms=tuple(chosen), certified=True)
 
 
 # ---------------------------------------------------------------------------
@@ -171,28 +182,43 @@ def random_permutation(n: int, rng: SplitMix64) -> tuple:
     return tuple(out)
 
 
-def randomized_cover(a: SetSystem, seed: int, size_factor: float = 1.0) -> PermutationCover:
-    """size_factor * (n!/c) * n ln n seeded uniform permutations.
+def randomized_cover(a: SetSystem, seed: int) -> PermutationCover:
+    """Certified cover from seeded uniform permutations, pruned to a minimal one.
 
-    Certification is attempted only when the universe is small enough to
-    enumerate; otherwise the probabilistic size rationale is recorded.
+    Permutations are drawn in blocks of ceil(n!/c(A)), the fewest a cover
+    can hold, until their covered ranks mark all of S_n.  Reverse
+    deletion then walks the draws from last to first and drops each one
+    whose every covered permutation is still covered by another kept draw;
+    a kept draw covers some permutation no other kept draw does, so no
+    member can be dropped.  A draw covers exactly c(A) permutations, so
+    when the covered sets partition S_n (a tower's chains form a Young
+    subgroup and they are its cosets) the cover has exactly n!/c(A) members.
     """
     n = a.n
-    chains = count_maximal_chains(a)
-    if chains == 0:
+    if n > MAX_N:
+        raise ResourceLimit(f"random cover is certified over S_n; capped at n = {MAX_N}")
+    chains = _chain_table(a)
+    if not len(chains):
         raise NoChains("set system has no maximal chain")
-    count = max(1, ceil(size_factor * factorial(n) / chains * n * log(n)))
     rng = SplitMix64(seed)
-    perms = tuple(random_permutation(n, rng) for _ in range(count))
-    cover = PermutationCover(
-        n=n,
-        perms=perms,
-        certified=False,
-        note=f"random(seed={seed}, factor={size_factor}, samples={count})",
-    )
-    if n <= VERIFY_MAX_N and verify_cover(a, cover):
-        cover = PermutationCover(n=n, perms=perms, certified=True, note=cover.note)
-    return cover
+    batch = -(-factorial(n) // len(chains))
+    marked = np.zeros(factorial(n), dtype=bool)
+    drawn, blocks = [], []
+    while not marked.all():
+        draws = [random_permutation(n, rng) for _ in range(batch)]
+        for covered in _covered_ranks(np.array(draws, dtype=np.uint8), chains):
+            marked[covered] = True
+            blocks.append(covered)
+        drawn += draws
+    rows = np.vstack(blocks)
+    counts = np.bincount(rows.ravel(), minlength=len(marked))
+    keep = np.ones(len(drawn), dtype=bool)
+    for i in range(len(drawn) - 1, -1, -1):
+        if counts[rows[i]].min() > 1:
+            counts[rows[i]] -= 1
+            keep[i] = False
+    perms = tuple(pi for pi, kept in zip(drawn, keep.tolist()) if kept)
+    return PermutationCover(n=n, perms=perms, certified=True)
 
 
 def verify_cover(a: SetSystem, cover: PermutationCover) -> bool:
@@ -204,17 +230,14 @@ def verify_cover(a: SetSystem, cover: PermutationCover) -> bool:
     n = a.n
     if cover.n != n:
         raise DimensionMismatch(f"cover over {cover.n} elements, system over {n}")
-    if n > VERIFY_MAX_N:
-        raise ResourceLimit(f"verification enumerates S_n; capped at n = {VERIFY_MAX_N}")
+    if n > MAX_N:
+        raise ResourceLimit(f"verification enumerates S_n; capped at n = {MAX_N}")
     if any(sorted(pi) != list(range(n)) for pi in cover.perms):
         raise InvalidPermutation("a cover member is not a permutation of [n]")
     chains = _chain_table(a)
     if not len(chains):
         return False
-    inverses = np.argsort(np.array(cover.perms, dtype=np.uint8).reshape(-1, n), axis=1)
-    inverses = inverses.astype(np.uint8)
     marked = np.zeros(factorial(n), dtype=bool)
-    step = max(1, _BLOCK // (len(chains) * n))
-    for lo in range(0, len(inverses), step):
-        marked[_ranks(inverses[lo : lo + step][:, chains].reshape(-1, n))] = True
+    for covered in _covered_ranks(np.array(cover.perms, dtype=np.uint8), chains):
+        marked[covered] = True
     return bool(marked.all())

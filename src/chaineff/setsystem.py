@@ -27,15 +27,15 @@ class SetSystem:
     def __init__(self, n: int, members):
         if not 1 <= n <= MAX_ELEMENTS:
             raise InvalidSize(f"universe size must be in [1, {MAX_ELEMENTS}]")
-        member_set = set(int(m) for m in members)
-        for m in member_set:
-            if m < 0 or m >> n:
-                raise InvalidSize(f"member {m:#x} outside universe of size {n}")
+        masks = np.sort(_mask_array(n, members))
+        distinct = np.ones(len(masks), dtype=bool)
+        distinct[1:] = masks[1:] != masks[:-1]
+        masks = masks[distinct]
+        # a stable popcount sort of the sorted values orders by (popcount, value)
+        masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
         self.n = n
-        # sorted() is stable, so a popcount sort of the sorted values
-        # orders by (popcount, value)
-        self.members = tuple(sorted(sorted(member_set), key=int.bit_count))
-        self._member_set = frozenset(member_set)
+        self.members = tuple(masks.tolist())
+        self._member_set = frozenset(self.members)
 
     def __contains__(self, mask: int) -> bool:
         return mask in self._member_set
@@ -63,6 +63,21 @@ class SetSystem:
         return 0 in self._member_set and self.full_mask in self._member_set
 
 
+def _mask_array(n: int, members) -> np.ndarray:
+    """The members, an iterable of int masks or an integer array, as uint64,
+    each checked to lie in [0, 2^n)."""
+    if isinstance(members, np.ndarray):
+        values = members
+        ends = (int(values.min()), int(values.max())) if values.size else ()
+    else:
+        values = [int(m) for m in members]
+        ends = (min(values), max(values)) if values else ()
+    for m in ends:
+        if m < 0 or m >> n:
+            raise InvalidSize(f"member {m:#x} outside universe of size {n}")
+    return np.array(values, dtype=np.uint64)
+
+
 def full_power_set(n: int) -> SetSystem:
     if n > 24:
         raise ResourceLimit("explicit power set is capped at n = 24")
@@ -86,14 +101,9 @@ def tower_of_cubes(t: int, k: int) -> SetSystem:
         raise InvalidSize(f"universe {t * k} exceeds {MAX_ELEMENTS}")
     if k * ((1 << t) - 1) + 1 > DEFAULT_MEMORY_BUDGET:
         raise ResourceLimit("tower is too large to materialize")
-    members = set()
-    prefix = 0
-    for s in range(k):
-        block_lo = s * t
-        for sub in range(1 << t):
-            members.add(prefix | (sub << block_lo))
-        prefix |= ((1 << t) - 1) << block_lo
-    members.add(prefix)
+    subsets = np.arange((1 << t) - 1, dtype=np.uint64)
+    blocks = [np.uint64((1 << (s * t)) - 1) | (subsets << np.uint64(s * t)) for s in range(k)]
+    members = np.concatenate([*blocks, np.array([(1 << (t * k)) - 1], dtype=np.uint64)])
     return SetSystem(t * k, members)
 
 

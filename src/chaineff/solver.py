@@ -72,7 +72,6 @@ class SolverConfig:
     g: int = 1
     cover_strategy: str = "greedy"  # or "random"
     seed: int = 0
-    size_factor: float = 2.0
     memory_budget: int = DEFAULT_MEMORY_BUDGET
 
 
@@ -430,7 +429,7 @@ def _build_cover(system: SetSystem, cfg: SolverConfig) -> PermutationCover:
     if cfg.cover_strategy == "greedy":
         return greedy_cover(system)
     if cfg.cover_strategy == "random":
-        return randomized_cover(system, cfg.seed, cfg.size_factor)
+        return randomized_cover(system, cfg.seed)
     raise InvalidInstance(f"unknown cover strategy {cfg.cover_strategy!r}")
 
 
@@ -556,7 +555,7 @@ def solve_chain_tradeoff(problem: PermutationProblem, cfg: SolverConfig) -> Solv
         raise InvalidSetSystem("chain-tradeoff needs a set system")
     if not base.admits_chains():
         raise InvalidSetSystem("set system must contain the empty and full set")
-    system = cartesian_power(base, cfg.g) if cfg.g > 1 else base
+    system = cartesian_power(base, cfg.g)
     gn = system.n
     n = problem.n
     s = ceil(n / gn)

@@ -114,6 +114,12 @@ class TestCover:
         assert doc1 == doc2
         assert doc1["provenance"]["seed"] == 3
 
+    @pytest.mark.parametrize("factor", ["nan", "inf", "1e300", "2"])
+    def test_factor_is_not_an_option_exit_2(self, capsys, factor):
+        argv = ["cover", "--builtin", "tower:2:2", "--strategy", "random", "--factor", factor]
+        assert run(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestSolve:
     def test_tsp_all_algorithms(self, capsys, tmp_path):
@@ -178,6 +184,14 @@ class TestSolve:
         assert stats["peakResidentEntries"] == max(
             stats["sweepPeakEntries"], stats["witnessPeakEntries"], key=int
         )
+
+    @pytest.mark.parametrize("g", ["0", "-3"])
+    def test_tradeoff_power_below_one_exit_2(self, capsys, tmp_path, g):
+        f = tmp_path / "four.txt"
+        f.write_text(FOUR_CITY_TEXT)
+        argv = ["solve", "tsp", "--matrix", str(f), "--algo", "tradeoff", "--builtin", "tower:2:2"]
+        assert run([*argv, "--g", g]) == 2
+        assert_one_line_error(capsys)
 
     def test_gs_memory_budget_exit_3(self, capsys, tmp_path):
         f = tmp_path / "four.txt"

@@ -269,21 +269,22 @@ class TestEightElements:
 
     def test_nine_elements_exit_3(self, capsys):
         assert run(["cover", "--builtin", "tower:3:3"]) == 3
-        assert run(["cover", "--builtin", "tower:3:3", "--strategy", "random"]) == 0
-        assert json.loads(capsys.readouterr().out)["certified"] is False
+        assert run(["cover", "--builtin", "tower:3:3", "--strategy", "random"]) == 3
+        assert capsys.readouterr().out == ""
 
     def test_uncertified_cover_in_solve_exit_3(self, tmp_path):
         f = tmp_path / "five.txt"
         f.write_text("5\n0 1 2 3 4\n1 0 1 2 3\n2 1 0 1 2\n3 2 1 0 1\n4 3 2 1 0\n")
-        argv = ["solve", "tsp", "--matrix", str(f), "--algo", "tradeoff", "--builtin", "tower:2:2"]
-        assert run([*argv, "--strategy", "random", "--factor", "0.01"]) == 3
+        argv = ["solve", "tsp", "--matrix", str(f), "--algo", "tradeoff", "--builtin", "tower:3:3"]
+        assert run(argv) == 3
+        assert run([*argv, "--strategy", "random"]) == 3
 
 
 class TestRandomizedCover:
     def test_seeded_reproducibility(self):
         a = tower_of_cubes(2, 2)
-        c1 = randomized_cover(a, seed=17, size_factor=2.0)
-        c2 = randomized_cover(a, seed=17, size_factor=2.0)
+        c1 = randomized_cover(a, seed=17)
+        c2 = randomized_cover(a, seed=17)
         assert c1.perms == c2.perms
 
     def test_different_seeds_differ(self):
@@ -294,8 +295,37 @@ class TestRandomizedCover:
 
     def test_certification_at_small_n(self):
         a = full_power_set(4)
-        cov = randomized_cover(a, seed=5, size_factor=2.0)
+        cov = randomized_cover(a, seed=5)
         assert cov.certified == verify_cover(a, cov)
+
+    @pytest.mark.parametrize("t,k", [(3, 2), (2, 3), (4, 2)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tower_covers_have_the_coset_count(self, t, k, seed):
+        # a tower's chain permutations form a Young subgroup, so the sets the
+        # members cover are its cosets and a minimal cover holds one per coset
+        a = tower_of_cubes(t, k)
+        cov = randomized_cover(a, seed)
+        assert len(cov) == factorial(a.n) // count_maximal_chains(a)
+        assert cov.certified and verify_cover(a, cov)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**40 + 5])
+    def test_cli_tower_cover_has_twenty_members(self, capsys, seed):
+        argv = ["cover", "--builtin", "tower:3:2", "--strategy", "random", "--seed", str(seed)]
+        assert run(argv) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certified"] is True and doc["size"] == "20" and len(doc["perms"]) == 20
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_systems_certified_and_minimal(self, seed):
+        rng = random.Random(4000 + seed)
+        a = random_system(rng, rng.randint(1, 6))
+        while count_maximal_chains(a) == 0:
+            a = random_system(rng, rng.randint(1, 6))
+        perms = randomized_cover(a, seed).perms
+        assert brute_is_cover(a, perms)
+        for drop in range(len(perms)):
+            rest = perms[:drop] + perms[drop + 1 :]
+            assert not verify_cover(a, PermutationCover(a.n, rest, False))
 
 
 class TestSplitMix64:

@@ -4,6 +4,7 @@ import random
 from math import factorial
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from chaineff.errors import InvalidSize
@@ -117,6 +118,16 @@ class TestChainCounting:
         for t, k in [(2, 2), (3, 2), (17, 2)]:
             assert len(tower_of_cubes(t, k).members) == k * (2**t - 1) + 1
 
+    @pytest.mark.parametrize("t,k", [(1, 1), (3, 2), (2, 3), (1, 64), (8, 8), (16, 4)])
+    def test_tower_members_match_set_construction(self, t, k):
+        members = set()
+        prefix = 0
+        for s in range(k):
+            members.update(prefix | (sub << (s * t)) for sub in range(1 << t))
+            prefix |= ((1 << t) - 1) << (s * t)
+        expect = tuple(sorted(members, key=lambda m: (m.bit_count(), m)))
+        assert tower_of_cubes(t, k).members == expect
+
 
 class TestPowerIdentity:
     @pytest.mark.parametrize("seed", range(10))
@@ -179,6 +190,23 @@ class TestValidationAndText:
     def test_rejects_out_of_range_member(self):
         with pytest.raises(InvalidSize):
             SetSystem(2, [0, 0b100])
+
+    @pytest.mark.parametrize(
+        "bad,as_array",
+        [(0b100, False), (-1, False), (1 << 64, False), (-(1 << 70), False), (0b100, True), (-1, True)],
+    )
+    def test_rejects_negative_and_oversized_members(self, bad, as_array):
+        members = [0, bad, 0b11]
+        if as_array:
+            members = np.array(members, dtype=np.int64)
+        with pytest.raises(InvalidSize, match=f"member {bad:#x} outside"):
+            SetSystem(2, members)
+
+    def test_array_members_match_list_members(self):
+        masks = [5, 0, 7, 5, 3, 1 << 63, (1 << 64) - 1, 3]
+        a = SetSystem(64, np.array(masks, dtype=np.uint64))
+        assert a == SetSystem(64, masks) and len(a) == 6
+        assert SetSystem(3, np.array([], dtype=np.uint64)).members == ()
 
     def test_text_roundtrip(self):
         a = random_system(random.Random(9), 5)
