@@ -457,8 +457,16 @@ _VERIFIERS = {
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line; subparsers are built from this class."""
+
+    def error(self, message):
+        sys.stderr.write(f"error: {message}\n")
+        sys.exit(EXIT_BAD_INPUT)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="chaineff")
+    parser = _Parser(prog="chaineff")
     parser.add_argument(
         "--memory-budget",
         type=int,

@@ -26,9 +26,6 @@ MAX_ELEMENTS = 64
 #: Default cap on resident DP entries / enumerated ideals.
 DEFAULT_MEMORY_BUDGET = 1 << 28
 
-IDEAL_METHODS = ("lattice", "bipartite-sum", "circulant-transfer")
-EXTENSION_METHODS = ("brute", "ideal-dp", "bipartite-fst", "orbit")
-
 
 class Poset:
     """Partial order given by its cover relation (a Hasse-diagram DAG)."""
@@ -212,7 +209,13 @@ def _extend_ideals(layer, pred, bits):
     An ideal I extends by each v outside it whose predecessors it holds,
     I & (pred[v] | v) == pred[v]; sorting removes the duplicates.
     """
-    cand = np.concatenate([layer[(layer & (pv | bv)) == pv] | bv for pv, bv in zip(pred, bits)])
+    return _sorted_unique(
+        np.concatenate([layer[(layer & (pv | bv)) == pv] | bv for pv, bv in zip(pred, bits)])
+    )
+
+
+def _sorted_unique(cand):
+    """The distinct values of ``cand``, sorted (``cand`` is sorted in place)."""
     cand.sort()
     first = np.ones(cand.size, dtype=bool)
     first[1:] = cand[1:] != cand[:-1]
@@ -305,7 +308,8 @@ def _or_closure_sum(neighbor_masks, other_side_size, memory_budget):
     The subsets split into a low and a high half, whose ORs are enumerated
     once each.  Every block of high ORs is merged with all the low ORs into
     a histogram of union sizes, and one exact sum of hist[c] * 2^(K - c)
-    finishes the count.
+    finishes the count.  The merged ORs and their sizes are written into
+    two block buffers allocated once.
     """
     s = len(neighbor_masks)
     k = other_side_size
@@ -317,9 +321,14 @@ def _or_closure_sum(neighbor_masks, other_side_size, memory_budget):
     lo_ors = _subset_ors(neighbor_masks[:lo])
     hi_ors = _subset_ors(neighbor_masks[lo:])
     hist = np.zeros(k + 1, dtype=np.int64)
+    merged = np.empty((rows, lo_ors.size), dtype=np.uint64)
+    sizes = np.empty((rows, lo_ors.size), dtype=np.uint8)
     for start in range(0, hi_ors.size, rows):
-        merged = hi_ors[start : start + rows, None] | lo_ors
-        hist += np.bincount(np.bitwise_count(merged).ravel(), minlength=k + 1)
+        block = hi_ors[start : start + rows, None]
+        n = block.shape[0]
+        np.bitwise_or(block, lo_ors, out=merged[:n])
+        np.bitwise_count(merged[:n], out=sizes[:n])
+        hist += np.bincount(sizes[:n].ravel(), minlength=k + 1)
     return sum(int(count) << (k - c) for c, count in enumerate(hist))
 
 
@@ -338,7 +347,7 @@ def _count_ideals_bipartite_sum(p: Poset, memory_budget: int) -> int:
     return _or_closure_sum(masks, len(x_side), memory_budget)
 
 
-def _transfer_trace(m: int, offsets, memory_budget: int) -> int:
+def _transfer_trace(p: CirculantBipartitePoset, memory_budget: int) -> int:
     """Ideal count of a circulant poset as the trace of a transfer matrix.
 
     State = membership bits of the last w = max(D) processed x-elements.
@@ -351,6 +360,7 @@ def _transfer_trace(m: int, offsets, memory_budget: int) -> int:
     only 2^t rows, indexed by the appended bits; from step w on the rows
     are all 2^w states.  The diagonal is summed as Python ints.
     """
+    m, offsets = p.m, p.offsets
     w = max(offsets)
     if w == 0:
         return 3**m  # D = {0}: m disjoint covers x_i < y_i, 3 ideals each
@@ -394,26 +404,44 @@ def _transfer_trace(m: int, offsets, memory_budget: int) -> int:
     return total
 
 
+def _count_ideals_lattice(p: Poset, memory_budget: int) -> int:
+    return sum(layer.size for layer in _ideal_layers(p, memory_budget))
+
+
+def _circulant_only(name: str, kernel):
+    """``kernel`` behind the check that the poset is a circulant."""
+
+    def run(p: Poset, memory_budget: int) -> int:
+        if not isinstance(p, CirculantBipartitePoset):
+            raise MethodMismatch(f"{name} needs a CirculantBipartitePoset")
+        return kernel(p, memory_budget)
+
+    return run
+
+
+#: Ideal-counting methods: name -> kernel(p, memory_budget).
+IDEAL_METHODS = {
+    "lattice": _count_ideals_lattice,
+    "bipartite-sum": _count_ideals_bipartite_sum,
+    "circulant-transfer": _circulant_only("circulant-transfer", _transfer_trace),
+}
+
+
 def count_ideals(
     p: Poset, method: str = "lattice", memory_budget: int = DEFAULT_MEMORY_BUDGET
 ) -> int:
     """Exact number of ideals (down-sets) of p."""
-    if method == "lattice":
-        return sum(layer.size for layer in _ideal_layers(p, memory_budget))
-    if method == "bipartite-sum":
-        return _count_ideals_bipartite_sum(p, memory_budget)
-    if method == "circulant-transfer":
-        if not isinstance(p, CirculantBipartitePoset):
-            raise MethodMismatch("circulant-transfer needs a CirculantBipartitePoset")
-        return _transfer_trace(p.m, p.offsets, memory_budget)
-    raise MethodMismatch(f"unknown ideal-counting method {method!r}")
+    if method not in IDEAL_METHODS:
+        raise MethodMismatch(f"unknown ideal-counting method {method!r}")
+    return IDEAL_METHODS[method](p, memory_budget)
 
 
 # ---------------------------------------------------------------------------
 # Linear extensions
 
 
-def _count_extensions_brute(p: Poset) -> int:
+def _count_extensions_brute(p: Poset, memory_budget: int) -> int:
+    """Tests every permutation; capped at n = 10 rather than by the budget."""
     if p.n > 10:
         raise ResourceLimit("brute-force extension counting is capped at n = 10")
     n = p.n
@@ -433,58 +461,60 @@ def _count_extensions_ideal_dp(p: Poset, memory_budget: int) -> int:
     return count_layer_chains(_ideal_layers(p, memory_budget))
 
 
-def _count_extensions_bipartite_fst(p: Poset, memory_budget: int) -> int:
-    """F(S, t) recurrence over subsets S of the lower side.
+def _prefix_dp(nx: int, needs, canon, memory_budget: int, name: str) -> int:
+    """Linear extensions of a bipartite poset by the F(S, t) recurrence.
 
-    F(S, t) counts partial extensions whose first |S| + t positions use
-    exactly S from X and t eligible elements of Y, with
+    The lower side X has ``nx`` elements and each upper element y has the
+    bitmask ``needs[y]`` of its predecessors in X.  F(S, t) counts the
+    partial extensions whose first |S| + t positions hold exactly S from X
+    and t of the e(S) elements of Y whose needs lie in S:
     F(S, t) = sum_{x not in S} F(S + x, t) + (e(S) - t) F(S, t + 1)
-    and boundary F(X, t) = (|Y| - t)!.
+    for t <= e(S), and F(X, t) = (|Y| - t)!.  Returns F({}, 0).
+
+    Layers run by |S| descending with two resident.  ``canon`` maps an
+    array of masks to their class representatives, and F must be constant
+    on each class: the identity keeps every set, a rotation keeps one per
+    orbit.  The classes of two layers are checked against the budget.
     """
+    ny = len(needs)
+    needs = np.array(needs, dtype=np.uint64)
+    bits = np.uint64(1) << np.arange(nx, dtype=np.uint64)
+    masks = np.array([(1 << nx) - 1], dtype=np.uint64)
+    f = np.array([[factorial(ny - t) for t in range(ny + 1)]], dtype=object)
+    for _ in range(nx):
+        # the classes one element smaller, by deleting each bit of the last layer
+        new = _sorted_unique(canon(np.concatenate([masks[masks & b != 0] & ~b for b in bits])))
+        if new.size + masks.size > memory_budget:
+            raise ResourceLimit(f"{name} layer exceeds the memory budget")
+        e = ((new[:, None] & needs) == needs).sum(axis=1)
+        width = e.max() + 1  # no superset has a smaller e, so f is as wide
+        # G(S, t) = sum_{x not in S} F(S + x, t), one x at a time
+        sels = [np.flatnonzero(new & b == 0) for b in bits]
+        sups = canon(np.concatenate([new[sel] | b for sel, b in zip(sels, bits)]))
+        rows = np.split(np.searchsorted(masks, sups), np.cumsum([sel.size for sel in sels])[:-1])
+        g = np.zeros((new.size, width), dtype=object)
+        for sel, row in zip(sels, rows):
+            g[sel] += f[row, :width]
+        # columns past a row's e(S) hold junk that never reaches a column t <= e(S)
+        for t in range(width - 2, -1, -1):
+            g[:, t] += (e - t) * g[:, t + 1]
+        masks, f = new, g
+    return f[0, 0]
+
+
+def _count_extensions_bipartite_fst(p: Poset, memory_budget: int) -> int:
+    """The F(S, t) recurrence over every subset S of the lower side."""
     x_side, y_side = p.bipartition()
-    nx, ny = len(x_side), len(y_side)
-    y_needs = _neighbor_masks(y_side, x_side, p.cover_down)
+    nx = len(x_side)
     if 1 << nx > memory_budget:
         raise ResourceLimit(f"2^{nx} subset table exceeds the memory budget")
-    size = 1 << nx
-    e = bytearray(size)
-    for nb in y_needs:
-        # add 1 to every superset of nb
-        free = ((size - 1) & ~nb)
-        sub = free
-        while True:
-            e[nb | sub] += 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
-    full = size - 1
-    f_by_mask = {full: [factorial(ny - t) for t in range(ny + 1)]}
-    by_pop = [[] for _ in range(nx + 1)]
-    for mask in range(size):
-        by_pop[bin(mask).count("1")].append(mask)
-    for k in range(nx - 1, -1, -1):
-        new = {}
-        for mask in by_pop[k]:
-            e_s = e[mask]
-            row = [0] * (e_s + 1)
-            for t in range(e_s, -1, -1):
-                acc = 0
-                rest = full & ~mask
-                while rest:
-                    x = rest & -rest
-                    rest &= rest - 1
-                    acc += f_by_mask[mask | x][t]
-                if t < e_s:
-                    acc += (e_s - t) * row[t + 1]
-                row[t] = acc
-            new[mask] = row
-        f_by_mask = new
-    return f_by_mask[0][0]
+    needs = _neighbor_masks(y_side, x_side, p.cover_down)
+    return _prefix_dp(nx, needs, lambda masks: masks, memory_budget, "bipartite-fst")
 
 
 def _canonical_rotation(arr, m):
     """Lexicographically minimal cyclic rotation of each m-bit mask."""
-    full = np.int64((1 << m) - 1)
+    full = np.uint64((1 << m) - 1)
     best = arr.copy()
     for s in range(1, m):
         rot = ((arr << s) | (arr >> (m - s))) & full
@@ -493,84 +523,35 @@ def _canonical_rotation(arr, m):
 
 
 def _count_extensions_orbit(p: CirculantBipartitePoset, memory_budget: int) -> int:
-    """F(S, t) recurrence compressed by rotation classes of S.
+    """The F(S, t) recurrence over rotation classes of S.
 
     The circulant poset is invariant under simultaneous rotation of both
-    sides, so F(S, t) depends only on the rotation class of S.  Layers
-    are processed by |S| descending, keeping two layers resident.
+    sides, so F(S, t) depends only on the rotation class of S.
     """
     m = p.m
-    if m > 32:
-        raise ResourceLimit("orbit method supports side size up to 32")
-    offsets = sorted(p.offsets)
-    full = (1 << m) - 1
     # y_j needs x_{(j+d) mod m}: the needs-mask of y_0, rotated per j.
-    need0 = 0
-    for d in offsets:
-        need0 |= 1 << (d % m)
-    needs = np.array(
-        [((need0 << j) | (need0 >> (m - j))) & full if j else need0 for j in range(m)],
-        dtype=np.int64,
-    )
+    need0 = sum(1 << d for d in p.offsets)
+    full = (1 << m) - 1
+    needs = [((need0 << j) | (need0 >> (m - j))) & full for j in range(m)]
+    return _prefix_dp(m, needs, lambda masks: _canonical_rotation(masks, m), memory_budget, "orbit")
 
-    masks = np.array([full], dtype=np.int64)
-    f_rows = [[factorial(m - t) for t in range(m + 1)]]
-    budget = memory_budget
 
-    for k in range(m - 1, -1, -1):
-        # generate canonical size-k masks by deleting one bit from layer k+1
-        parts = []
-        for x in range(m):
-            bit = np.int64(1 << x)
-            sel = masks[(masks & bit) != 0]
-            if sel.size:
-                parts.append(_canonical_rotation(sel & ~bit, m))
-        new_masks = np.unique(np.concatenate(parts))
-        if new_masks.size + masks.size > budget:
-            raise ResourceLimit("orbit layer exceeds the memory budget")
-        # eligible-y counts
-        e_arr = np.zeros(new_masks.size, dtype=np.int64)
-        for j in range(m):
-            e_arr += ((new_masks & needs[j]) == needs[j]).astype(np.int64)
-        # neighbor sums G[i][t] = sum_x F(S + x, t)
-        g_rows = [[0] * (int(e) + 1) for e in e_arr]
-        for x in range(m):
-            bit = np.int64(1 << x)
-            sel = np.nonzero((new_masks & bit) == 0)[0]
-            if sel.size == 0:
-                continue
-            sup = _canonical_rotation(new_masks[sel] | bit, m)
-            idx = np.searchsorted(masks, sup)
-            for i, j in zip(sel.tolist(), idx.tolist()):
-                row = g_rows[i]
-                src = f_rows[j]
-                for t in range(len(row)):
-                    row[t] += src[t]
-        # close the t-recurrence per class
-        for i, row in enumerate(g_rows):
-            e_s = len(row) - 1
-            for t in range(e_s - 1, -1, -1):
-                row[t] += (e_s - t) * row[t + 1]
-        masks = new_masks
-        f_rows = g_rows
-    return f_rows[0][0]
+#: Extension-counting methods: name -> kernel(p, memory_budget).
+EXTENSION_METHODS = {
+    "brute": _count_extensions_brute,
+    "ideal-dp": _count_extensions_ideal_dp,
+    "bipartite-fst": _count_extensions_bipartite_fst,
+    "orbit": _circulant_only("orbit method", _count_extensions_orbit),
+}
 
 
 def count_linear_extensions(
     p: Poset, method: str = "ideal-dp", memory_budget: int = DEFAULT_MEMORY_BUDGET
 ) -> int:
     """Exact number of linear extensions of p."""
-    if method == "brute":
-        return _count_extensions_brute(p)
-    if method == "ideal-dp":
-        return _count_extensions_ideal_dp(p, memory_budget)
-    if method == "bipartite-fst":
-        return _count_extensions_bipartite_fst(p, memory_budget)
-    if method == "orbit":
-        if not isinstance(p, CirculantBipartitePoset):
-            raise MethodMismatch("orbit method needs a CirculantBipartitePoset")
-        return _count_extensions_orbit(p, memory_budget)
-    raise MethodMismatch(f"unknown extension-counting method {method!r}")
+    if method not in EXTENSION_METHODS:
+        raise MethodMismatch(f"unknown extension-counting method {method!r}")
+    return EXTENSION_METHODS[method](p, memory_budget)
 
 
 def closed_form_matching_complement(m: int):

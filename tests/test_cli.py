@@ -271,3 +271,28 @@ class TestOutput:
         out = capsys.readouterr().out
         assert out.count("\n") == 1 and out.endswith("\n")
         assert isinstance(json.loads(out), dict)
+
+
+class TestUsageErrors:
+    """Argument errors from the parser and its subparsers are one line."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "dfas", "--graph", "g.txt", "--algo", "gs"],
+            ["cover", "--builtin", "tower:2:2", "--strategy", "nope"],
+            ["bounds", "nope"],
+            ["verify", "nope"],
+            ["--memory-budget", "x", "count", "ideals", "--builtin", "matchcomp:4"],
+            [],
+        ],
+        ids=["algo", "strategy", "bound", "target", "budget", "no-command"],
+    )
+    def test_usage_error_is_one_line_exit_2(self, capsys, argv):
+        assert run(argv) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["bounds", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        assert run(argv) == 0
+        assert "usage:" in capsys.readouterr().out

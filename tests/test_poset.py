@@ -87,6 +87,58 @@ def dict_ideal_dp(p):
     return lam[ideals[-1]]
 
 
+def dict_fst(p):
+    """Oracle: linear extensions of a bipartite poset by a dict F(S, t)
+    over every subset S of the lower side X, with e(S) counted by a
+    superset loop; F(S, t) = sum_x F(S + x, t) + (e(S) - t) F(S, t + 1)."""
+    x_side, y_side = p.bipartition()
+    nx, ny = len(x_side), len(y_side)
+    pos = {x: i for i, x in enumerate(x_side)}
+    size = 1 << nx
+    e = bytearray(size)
+    for y in y_side:
+        nb = sum(1 << pos[x] for x in x_side if p.cover_down[y] >> x & 1)
+        free = (size - 1) & ~nb
+        sub = free
+        while True:  # add 1 to every superset of nb
+            e[nb | sub] += 1
+            if sub == 0:
+                break
+            sub = (sub - 1) & free
+    full = size - 1
+    f_by_mask = {full: [factorial(ny - t) for t in range(ny + 1)]}
+    for k in range(nx - 1, -1, -1):
+        new = {}
+        for mask in (s for s in range(size) if bin(s).count("1") == k):
+            e_s = e[mask]
+            row = [0] * (e_s + 1)
+            for t in range(e_s, -1, -1):
+                acc = 0
+                rest = full & ~mask
+                while rest:
+                    x = rest & -rest
+                    rest &= rest - 1
+                    acc += f_by_mask[mask | x][t]
+                if t < e_s:
+                    acc += (e_s - t) * row[t + 1]
+                row[t] = acc
+            new[mask] = row
+        f_by_mask = new
+    return f_by_mask[0][0]
+
+
+def rotation_classes(m, k):
+    """Number of rotation classes of the k-subsets of an m-cycle."""
+    full = (1 << m) - 1
+    return len(
+        {
+            min(((s << r) | (s >> (m - r))) & full for r in range(m))
+            for s in range(1 << m)
+            if bin(s).count("1") == k
+        }
+    )
+
+
 def lucas(n):
     a, b = 2, 1
     for _ in range(n):
@@ -298,16 +350,84 @@ class TestExtensionCounting:
     def test_bipartite_methods_agree(self, m):
         p = make_matching_complement(m)
         ref = count_linear_extensions(p, "brute")
-        for meth in EXTENSION_METHODS[1:]:
+        for meth in list(EXTENSION_METHODS)[1:]:
             assert count_linear_extensions(p, meth) == ref
 
-    @pytest.mark.parametrize("m,offsets", [(7, (0, 1, 3)), (9, (0, 1, 3)), (11, (0, 1, 3))])
+    @pytest.mark.parametrize(
+        "m,offsets",
+        [(7, (0, 1, 3)), (9, (0, 1, 3)), (11, (0, 1, 3)), (6, (0, 2)), (10, (0, 1, 4, 7)), (13, (0, 3))],
+    )
     def test_circulant_methods_agree(self, m, offsets):
         p = make_circulant(m, offsets)
         a = count_linear_extensions(p, "ideal-dp")
         b = count_linear_extensions(p, "bipartite-fst")
         c = count_linear_extensions(p, "orbit")
         assert a == b == c
+
+
+class TestPrefixKernel:
+    """bipartite-fst and orbit share one F(S, t) kernel; checked against the
+    dict DP, brute force and the ideal DP, and at their budgets."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_bipartite_matches_oracles(self, seed):
+        # |X| != |Y|, and isolated elements at density 0.25
+        rng = random.Random(700 + seed)
+        nx = rng.randint(1, 6)
+        ny = rng.choice([k for k in range(0, 6) if k != nx and 1 <= nx + k <= 10])
+        p = random_bipartite(rng, nx, ny, density=0.25)
+        value = count_linear_extensions(p, "bipartite-fst")
+        assert value == dict_fst(p) == brute_extensions(p)
+
+    @pytest.mark.parametrize("nx,ny", [(9, 4), (4, 9), (11, 7)])
+    def test_unequal_sides_match_dict_dp(self, nx, ny):
+        p = random_bipartite(random.Random(nx * 100 + ny), nx, ny, density=0.3)
+        value = count_linear_extensions(p, "bipartite-fst")
+        assert value == dict_fst(p) == count_linear_extensions(p, "ideal-dp")
+
+    def test_isolated_elements(self):
+        # 0 and 5 are isolated; 4 has one neighbour
+        p = Poset(7, [(1, 3), (2, 3), (2, 4), (6, 3)])
+        assert count_linear_extensions(p, "bipartite-fst") == dict_fst(p) == brute_extensions(p)
+
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_antichain_has_no_upper_side(self, n):
+        p = make_antichain(n)
+        assert count_linear_extensions(p, "bipartite-fst") == dict_fst(p) == factorial(n)
+
+    def test_fst_budget_is_the_subset_count(self):
+        p = make_circulant(7, (0, 1, 3))
+        lam = count_linear_extensions(p, "ideal-dp")
+        assert count_linear_extensions(p, "bipartite-fst", memory_budget=2**7) == lam
+        with pytest.raises(ResourceLimit, match=r"2\^7 subset table"):
+            count_linear_extensions(p, "bipartite-fst", memory_budget=2**7 - 1)
+
+    @pytest.mark.parametrize("m,offsets", [(8, (0, 1, 3)), (11, (0, 2, 5))])
+    def test_orbit_budget_is_two_layers_of_classes(self, m, offsets):
+        p = make_circulant(m, offsets)
+        classes = [rotation_classes(m, k) for k in range(m + 1)]
+        need = max(a + b for a, b in zip(classes, classes[1:]))
+        lam = count_linear_extensions(p, "ideal-dp")
+        assert count_linear_extensions(p, "orbit", memory_budget=need) == lam
+        with pytest.raises(ResourceLimit, match="orbit layer"):
+            count_linear_extensions(p, "orbit", memory_budget=need - 1)
+
+    def test_fst_rejects_height_three(self):
+        with pytest.raises(MethodMismatch, match="not bipartite"):
+            count_linear_extensions(make_bucket_order(2, 3), "bipartite-fst")
+
+    @pytest.mark.parametrize(
+        "count,method,text",
+        [
+            (count_ideals, "circulant-transfer", "circulant-transfer needs"),
+            (count_linear_extensions, "orbit", "orbit method needs"),
+            (count_ideals, "nope", "unknown ideal-counting method 'nope'"),
+            (count_linear_extensions, "nope", "unknown extension-counting method 'nope'"),
+        ],
+    )
+    def test_method_mismatch_messages(self, count, method, text):
+        with pytest.raises(MethodMismatch, match=text):
+            count(make_chain(4), method)
 
 
 def test_runs_without_scipy(monkeypatch):
