@@ -2,9 +2,10 @@
 
 Closed-form and numeric evaluation of the general upper bounds for
 posets (the basic 1/3 bound and the improved 1/3.015 bound) and the
-two-sided bounds for regular bipartite posets.  All evaluations use
-128-bit big floats; factorials and binomials are computed exactly
-before conversion.
+two-sided bounds for regular bipartite posets.  Every reported value
+is evaluated in 128-bit big floats; factorials and binomials are
+computed exactly before conversion.  Only the pre-scan grid of the
+regular-bipartite limit is ranked in float64 first.
 """
 
 from __future__ import annotations
@@ -13,12 +14,17 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 
 import mpmath
+import numpy as np
 
 from .errors import InvalidDegree, InvalidSize
+from .poset import MAX_ELEMENTS
 
 BOUND_PRECISION_BITS = 128
 GOLDEN_TOLERANCE = 1e-9
 _PRESCAN_POINTS = 10_000
+#: Float64 exponents this close to the grid's float maximum are ranked
+#: again at full precision; the float error is about 1e-15.
+_RERANK_WINDOW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -148,6 +154,8 @@ def regular_bipartite_bounds(m: int, d: int) -> BoundReport:
     bound, combined into an efficiency upper bound."""
     if d < 1 or d > m:
         raise InvalidDegree("degree must satisfy 1 <= d <= m")
+    if 2 * m > MAX_ELEMENTS:
+        raise InvalidSize(f"2m = {2 * m} exceeds {MAX_ELEMENTS} elements")
     with mpmath.workprec(BOUND_PRECISION_BITS):
         alpha_lower = mpmath.mpf(0)
         for i in range(m + 1):
@@ -174,28 +182,53 @@ def regular_bipartite_bounds(m: int, d: int) -> BoundReport:
         )
 
 
+def _limit_objective(q, d):
+    return mpmath.power(2, binary_entropy(q) + mpmath.power(q, d))
+
+
+def _prescan_bracket(d: int):
+    """Grid neighbours (lo, hi) of the first grid point maximising the limit
+    objective; call under ``mpmath.workprec(BOUND_PRECISION_BITS)``.
+
+    The grid is q = eps + i * step for i = 0.._PRESCAN_POINTS.  Its exponent
+    h(q) + q^d is scanned in float64, whose error here is near 1e-15, and
+    2^x is increasing, so only the points within _RERANK_WINDOW of the
+    float maximum can hold the exact one.  Those few are ranked again by
+    the objective at full precision, the first strict maximum winning, which
+    is the point a full-precision scan of the whole grid picks.
+    """
+    eps = mpmath.mpf("1e-9")
+    step = (1 - 2 * eps) / _PRESCAN_POINTS
+    q = float(eps) + np.arange(_PRESCAN_POINTS + 1) * float(step)
+    exponent = q**d - (q * np.log2(q) + (1 - q) * np.log2(1 - q))
+    best_i, best_v = 0, mpmath.mpf(-1)
+    for i in np.flatnonzero(exponent >= exponent.max() - _RERANK_WINDOW).tolist():
+        v = _limit_objective(eps + i * step, d)
+        if v > best_v:
+            best_i, best_v = i, v
+    return eps + max(0, best_i - 1) * step, eps + min(_PRESCAN_POINTS, best_i + 1) * step
+
+
 def regular_bipartite_efficiency_limit(d: int) -> BoundReport:
     """max over q of 2^{h(q) + q^d} times C(2d, d)^{1/(2d)}.
 
-    A grid pre-scan brackets the maximum before golden-section search;
-    the objective is unimodal on the scanned bracket for each d <= 16.
+    The exponent can have two local maxima, one inside (0, 1) and one
+    near q = 1, so golden-section search runs only on the bracket that a
+    grid pre-scan picks (``_prescan_bracket``: float64 over the grid, made
+    exact by a full-precision re-rank).  The grid's maximum lies near q = 1
+    up to d = 14 and near q = 1/2 from d = 15 on (at the grid's last point
+    for d = 29, 30).  From d = 15 the peak near 1 sits at 1 - q ~ 2^-d,
+    inside one grid step, so the scan does not see it and the value is
+    that of the bracketed maximum.  A d-regular bipartite poset has at
+    least 2d elements, so d is capped at MAX_ELEMENTS // 2.
     """
-    if d < 1:
-        raise InvalidDegree("degree must be at least 1")
+    if not 1 <= d <= MAX_ELEMENTS // 2:
+        raise InvalidDegree(f"degree must satisfy 1 <= d <= {MAX_ELEMENTS // 2}")
     with mpmath.workprec(BOUND_PRECISION_BITS):
-        def objective(q):
-            return mpmath.power(2, binary_entropy(q) + mpmath.power(q, d))
-
-        eps = mpmath.mpf("1e-9")
-        step = (1 - 2 * eps) / _PRESCAN_POINTS
-        best_i, best_v = 0, mpmath.mpf(-1)
-        for i in range(_PRESCAN_POINTS + 1):
-            v = objective(eps + i * step)
-            if v > best_v:
-                best_i, best_v = i, v
-        lo = eps + max(0, best_i - 1) * step
-        hi = eps + min(_PRESCAN_POINTS, best_i + 1) * step
-        q_star, peak = _golden_section_max(objective, lo, hi, GOLDEN_TOLERANCE)
+        lo, hi = _prescan_bracket(d)
+        q_star, peak = _golden_section_max(
+            lambda q: _limit_objective(q, d), lo, hi, GOLDEN_TOLERANCE
+        )
         product = peak * mpmath.power(comb(2 * d, d), mpmath.mpf(1) / (2 * d))
         return BoundReport(
             name="regular-bipartite-limit",

@@ -226,9 +226,18 @@ def _sorted_unique(cand):
 #: arrays near 3 MB; larger blocks were no faster on the counterexample.
 _CHAIN_BLOCK = 1 << 16
 
+#: Chain counts are held in base-2^32 limbs of uint64, so the sum of a
+#: member's at most 64 parents' limbs stays below 2^38 and is exact.
+_LIMB_BITS = 32
+_LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
+
 
 def _parent_sums(block, k, prev, counts):
-    """Each member's sum of the counts of its parents found in ``prev``."""
+    """Each member's limb-wise sum of the counts of its parents in ``prev``.
+
+    ``counts`` holds one limb row per base-2^32 digit and a trailing zero
+    column, which a parent missing from ``prev`` reads.
+    """
     # row j: each member less its j-th lowest element
     parents = np.empty((k, block.size), dtype=np.uint64)
     rest = block.copy()
@@ -238,10 +247,20 @@ def _parent_sums(block, k, prev, counts):
         np.bitwise_xor(block, low, out=parents[j])
     at = np.searchsorted(prev, parents)
     np.minimum(at, prev.size - 1, out=at)
-    found = prev[at] == parents
-    ways = np.zeros(parents.shape, dtype=object)
-    ways[found] = counts[at[found]]
-    return ways.sum(axis=0)
+    at[prev[at] != parents] = prev.size
+    return np.take(counts, at, axis=1).sum(axis=1)
+
+
+def _carry(limbs):
+    """``limbs`` with every limb below 2^32, a top row added if it carries."""
+    for low, high in zip(limbs[:-1], limbs[1:]):
+        high += low >> np.uint64(_LIMB_BITS)
+        low &= _LIMB_MASK
+    top = limbs[-1] >> np.uint64(_LIMB_BITS)
+    if not top.any():
+        return limbs
+    limbs[-1] &= _LIMB_MASK
+    return np.vstack([limbs, top])
 
 
 def count_layer_chains(layers) -> int:
@@ -252,21 +271,27 @@ def count_layer_chains(layers) -> int:
     1; a later member counts the sum of its parents' counts, a parent being
     the member less one element, found in the previous layer by binary
     search (a missing parent contributes 0).  Returns the summed counts of
-    the last layer.  Counts reach 2^97 on the paper's families, so they are
-    Python ints in object arrays; only two layers are resident at a time.
+    the last layer.  Counts reach 2^97 on the paper's families, so each is
+    held exactly as base-2^32 limbs in a (limbs, members) uint64 array,
+    which gains a row only when a count outgrows the current ones; the
+    result is assembled as a Python int.  Only two layers are resident at
+    a time.
     """
     layers = iter(layers)
     prev = next(layers)
-    counts = np.ones(prev.size, dtype=object)
+    # each row ends in a zero column, the count read for a missing parent
+    counts = np.ones((1, prev.size + 1), dtype=np.uint64)
+    counts[:, -1] = 0
     for k, layer in enumerate(layers, 1):
-        if not counts.size:
+        if not prev.size:
             return 0
         rows = max(1, _CHAIN_BLOCK // k)
-        nxt = np.empty(layer.size, dtype=object)
+        nxt = np.zeros((counts.shape[0], layer.size + 1), dtype=np.uint64)
         for start in range(0, layer.size, rows):
-            nxt[start : start + rows] = _parent_sums(layer[start : start + rows], k, prev, counts)
-        prev, counts = layer, nxt
-    return int(counts.sum())
+            block = layer[start : start + rows]
+            nxt[:, start : start + block.size] = _parent_sums(block, k, prev, counts)
+        prev, counts = layer, _carry(nxt)
+    return sum(sum(row.tolist()) << (_LIMB_BITS * l) for l, row in enumerate(counts))
 
 
 def enumerate_ideals(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):

@@ -2,9 +2,14 @@
 
 import random
 
+import mpmath
 import pytest
 
 from chaineff.bounds import (
+    BOUND_PRECISION_BITS,
+    _PRESCAN_POINTS,
+    _limit_objective,
+    _prescan_bracket,
     basic_upper_bound,
     binary_entropy,
     improved_upper_bound,
@@ -14,6 +19,40 @@ from chaineff.bounds import (
 )
 from chaineff.errors import InvalidDegree, InvalidSize
 from chaineff.poset import make_circulant, make_matching_complement, poset_efficiency
+
+#: (value, q) of regular_bipartite_efficiency_limit(d), as the full-precision
+#: grid scan printed them.
+LIMITS = {
+    1: ("4.24264068711929", "0.666666666795546"),
+    2: ("4.05770506102945", "0.734675821460285"),
+    3: ("3.87726927113975", "0.779793133058412"),
+    4: ("3.72812029690780", "0.829780747021406"),
+    5: ("3.62843089489157", "0.931355183871067"),
+    6: ("3.60177570064083", "0.975036489971263"),
+    7: ("3.60945869594015", "0.989622003103360"),
+    8: ("3.62845731241362", "0.995355342118341"),
+    9: ("3.65007291167038", "0.997829976977968"),
+    10: ("3.67111119534160", "0.998959298668942"),
+    11: ("3.69049791232872", "0.999492767014783"),
+    12: ("3.70798991338761", "0.999750286582391"),
+    13: ("3.72366174038119", "0.999876302405497"),
+    14: ("3.73769530331205", "0.999938493397227"),
+    15: ("3.75025874774986", "0.500159358057603"),
+    16: ("3.76163140599858", "0.500084828281260"),
+}
+
+
+def full_scan_bracket(d):
+    """Oracle: the pre-scan bracket from the objective at full precision on
+    every grid point, the first strict maximum winning."""
+    eps = mpmath.mpf("1e-9")
+    step = (1 - 2 * eps) / _PRESCAN_POINTS
+    best_i, best_v = 0, mpmath.mpf(-1)
+    for i in range(_PRESCAN_POINTS + 1):
+        v = _limit_objective(eps + i * step, d)
+        if v > best_v:
+            best_i, best_v = i, v
+    return eps + max(0, best_i - 1) * step, eps + min(_PRESCAN_POINTS, best_i + 1) * step
 
 
 class TestEntropy:
@@ -84,6 +123,11 @@ class TestRegularBipartite:
         with pytest.raises(InvalidDegree):
             regular_bipartite_bounds(5, 6)
 
+    def test_rejects_more_than_max_elements(self):
+        regular_bipartite_bounds(32, 3)
+        with pytest.raises(InvalidSize):
+            regular_bipartite_bounds(33, 3)
+
     def test_bucket_collapse(self):
         # d = m: the lower bound collapses to 2^{m+1} - 1
         report = regular_bipartite_bounds(13, 13)
@@ -116,3 +160,20 @@ class TestEfficiencyLimit:
     def test_d7_maximizer(self):
         report = regular_bipartite_efficiency_limit(7)
         assert abs(float(report.auxiliaries["q"]) - 0.99) < 5e-3
+
+    @pytest.mark.parametrize("d", sorted(LIMITS))
+    def test_pinned_values(self, d):
+        report = regular_bipartite_efficiency_limit(d)
+        assert (report.value, report.auxiliaries["q"]) == LIMITS[d]
+
+    @pytest.mark.parametrize("d", [14, 15])
+    def test_bracket_matches_full_scan(self, d):
+        # the grid's maximum moves from near q = 1 to near q = 1/2 here
+        with mpmath.workprec(BOUND_PRECISION_BITS):
+            assert _prescan_bracket(d) == full_scan_bracket(d)
+
+    def test_degree_range(self):
+        regular_bipartite_efficiency_limit(32)
+        for d in (0, 33):
+            with pytest.raises(InvalidDegree):
+                regular_bipartite_efficiency_limit(d)

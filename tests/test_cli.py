@@ -229,6 +229,18 @@ class TestBounds:
         assert code == 0
         code, doc = run_json(capsys, ["bounds", "reglimit", "6"])
         assert code == 0 and float(doc["value"]) > 3.6
+        code, doc = run_json(capsys, ["bounds", "regbip", "29", "6"])
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bounds", "reglimit", "100000000"], ["bounds", "regbip", "100000", "3"]],
+        ids=["reglimit", "regbip"],
+    )
+    def test_past_64_elements_exit_2(self, capsys, argv):
+        # a d-regular bipartite poset has 2m >= 2d elements, at most 64
+        assert run(argv) == 2
+        assert_one_line_error(capsys)
 
 
 class TestVerify:

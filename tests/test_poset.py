@@ -6,10 +6,12 @@ import sys
 from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 
 from chaineff.errors import InvalidInstance, MethodMismatch, ResourceLimit
 from chaineff.poset import (
+    DEFAULT_MEMORY_BUDGET,
     EXTENSION_METHODS,
     IDEAL_METHODS,
     Poset,
@@ -27,7 +29,9 @@ from chaineff.poset import (
     poset_efficiency,
     poset_from_text,
     poset_to_text,
+    _ideal_layers,
 )
+from chaineff.setsystem import SetSystem, count_maximal_chains, tower_of_cubes
 
 
 def brute_ideals(p):
@@ -125,6 +129,36 @@ def dict_fst(p):
             new[mask] = row
         f_by_mask = new
     return f_by_mask[0][0]
+
+
+def object_layer_chains(layers):
+    """Oracle: maximal chains of popcount layers with each count a Python
+    int in an object array, each member summing its parents' counts."""
+    layers = iter(layers)
+    prev = next(layers)
+    counts = np.ones(prev.size, dtype=object)
+    for k, layer in enumerate(layers, 1):
+        if not counts.size:
+            return 0
+        parents = np.empty((k, layer.size), dtype=np.uint64)
+        rest = layer.copy()
+        for j in range(k):
+            low = rest & -rest
+            rest ^= low
+            parents[j] = layer ^ low
+        at = np.minimum(np.searchsorted(prev, parents), prev.size - 1)
+        found = prev[at] == parents
+        ways = np.zeros(parents.shape, dtype=object)
+        ways[found] = counts[at[found]]
+        prev, counts = layer, ways.sum(axis=0)
+    return int(counts.sum())
+
+
+def system_layers(a):
+    """The members of a set system as sorted uint64 popcount layers."""
+    members = np.array(a.members, dtype=np.uint64)
+    sizes = np.bitwise_count(members)
+    return [members[sizes == k] for k in range(a.n + 1)]
 
 
 def rotation_classes(m, k):
@@ -292,6 +326,38 @@ class TestLayerKernel:
         lam = count_linear_extensions(p, "ideal-dp")
         assert lam == dict_ideal_dp(p) == factorial(10) ** 4
         assert lam > 1 << 64
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_limbs_match_object_kernel_on_posets(self, seed):
+        # sparse random orders on up to 20 elements, so some counts pass 2^32
+        rng = random.Random(1300 + seed)
+        n, density = rng.randint(1, 20), rng.choice([0.05, 0.1, 0.3])
+        p = Poset(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < density])
+        layers = _ideal_layers(p, DEFAULT_MEMORY_BUDGET)
+        assert count_linear_extensions(p, "ideal-dp") == object_layer_chains(layers)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_limbs_match_object_kernel_on_systems(self, seed):
+        # dense random families on up to 14 elements, so some counts pass 2^32
+        rng = random.Random(1400 + seed)
+        n = rng.randint(4, 14)
+        keep = rng.choice([0.5, 0.99, 1.0])
+        members = [0, (1 << n) - 1] + [s for s in range(1 << n) if rng.random() < keep]
+        a = SetSystem(n, members)
+        assert count_maximal_chains(a) == object_layer_chains(system_layers(a))
+
+    @pytest.mark.parametrize("t, k", [(11, 3), (8, 8)], ids=["tower11x3", "tower8x8"])
+    def test_counts_across_limb_boundaries(self, t, k):
+        # (11!)^3 ~ 2^76 and (8!)^8 ~ 2^122 need three and four limbs;
+        # tower:8:8 has 64 elements, so bit 63 is some member's lowest bit
+        a = tower_of_cubes(t, k)
+        chains = count_maximal_chains(a)
+        assert chains == factorial(t) ** k == object_layer_chains(system_layers(a))
+        assert type(chains) is int
+
+    def test_empty_middle_layer_has_no_chains(self):
+        a = SetSystem(6, [s for s in range(1 << 6) if bin(s).count("1") != 3])
+        assert count_maximal_chains(a) == 0 == object_layer_chains(system_layers(a))
 
     @pytest.mark.parametrize("method", ["lattice", "ideal-dp"])
     def test_budget_is_the_ideal_count(self, method):
