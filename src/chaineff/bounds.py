@@ -213,26 +213,39 @@ def regular_bipartite_efficiency_limit(d: int) -> BoundReport:
     """max over q of 2^{h(q) + q^d} times C(2d, d)^{1/(2d)}.
 
     The exponent can have two local maxima, one inside (0, 1) and one
-    near q = 1, so golden-section search runs only on the bracket that a
-    grid pre-scan picks (``_prescan_bracket``: float64 over the grid, made
-    exact by a full-precision re-rank).  The grid's maximum lies near q = 1
-    up to d = 14 and near q = 1/2 from d = 15 on (at the grid's last point
-    for d = 29, 30).  From d = 15 the peak near 1 sits at 1 - q ~ 2^-d,
-    inside one grid step, so the scan does not see it and the value is
-    that of the bracketed maximum.  A d-regular bipartite poset has at
-    least 2d elements, so d is capped at MAX_ELEMENTS // 2.
+    near q = 1, so golden-section search runs on two brackets and the
+    larger printed value wins.  One is the bracket a grid pre-scan picks
+    (``_prescan_bracket``: float64 over the grid, made exact by a
+    full-precision re-rank).  The grid's maximum lies near q = 1 up to
+    d = 14 and near q = 1/2 from d = 15 on (at the grid's last point for
+    d = 29, 30), because from d = 15 the peak near 1 sits at 1 - q ~ 2^-d,
+    inside one grid step.  So the other bracket is 1 - q in
+    [2^-d / 8, 8 * 2^-d], searched to a tolerance scaled by 2^-d.  It
+    holds the maximum for every d >= 15; below, it finds the pre-scan's
+    maximum again, and the printed value does not change.  A
+    d-regular bipartite poset has at least 2d elements, so d is capped at
+    MAX_ELEMENTS // 2.
     """
     if not 1 <= d <= MAX_ELEMENTS // 2:
         raise InvalidDegree(f"degree must satisfy 1 <= d <= {MAX_ELEMENTS // 2}")
     with mpmath.workprec(BOUND_PRECISION_BITS):
-        lo, hi = _prescan_bracket(d)
-        q_star, peak = _golden_section_max(
-            lambda q: _limit_objective(q, d), lo, hi, GOLDEN_TOLERANCE
-        )
-        product = peak * mpmath.power(comb(2 * d, d), mpmath.mpf(1) / (2 * d))
+        root = mpmath.power(comb(2 * d, d), mpmath.mpf(1) / (2 * d))
+        # The peak near q = 1 sits at 1 - q ~ 2^-d; its bracket and tolerance
+        # scale with it.
+        gap = mpmath.mpf(2) ** -d
+        brackets = [
+            (*_prescan_bracket(d), GOLDEN_TOLERANCE),
+            (max(0, 1 - 8 * gap), 1 - gap / 8, GOLDEN_TOLERANCE * gap),
+        ]
+        found = []
+        for lo, hi, tol in brackets:
+            q, peak = _golden_section_max(lambda q: _limit_objective(q, d), lo, hi, tol)
+            found.append((_fmt(peak * root), _fmt(q)))
+        # max keeps the pre-scan's result unless the other raises the printed value
+        value, q_star = max(found, key=lambda vq: mpmath.mpf(vq[0]))
         return BoundReport(
             name="regular-bipartite-limit",
             parameters={"d": d},
-            value=_fmt(product),
-            auxiliaries={"q": _fmt(q_star)},
+            value=value,
+            auxiliaries={"q": q_star},
         )

@@ -299,10 +299,12 @@ def enumerate_ideals(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):
     return np.concatenate(list(_ideal_layers(p, memory_budget))).tolist()
 
 
-#: Entries in one block of an ideal kernel's working array (8 MB of
+#: Entries in one block of an ideal kernel's working array (4 MB of
 #: uint64): big enough to amortise numpy's per-call cost, small enough to
-#: keep the kernels' memory flat.
-_BLOCK_ENTRIES = 1 << 20
+#: keep the kernels' memory flat.  On m = 25 circulants the transfer trace
+#: measured fastest at 2^18-2^19, and bipartite-sum within 15% from 2^16
+#: to 2^20.
+_BLOCK_ENTRIES = 1 << 19
 
 
 def _check_budget(kernel: str, entries: int, memory_budget: int) -> None:
@@ -380,52 +382,65 @@ def _transfer_trace(p: CirculantBipartitePoset, memory_budget: int) -> int:
     contributes weight 2 when every x it needs is present and 1 otherwise.
     Cyclic closure = closed walks of length m, i.e. trace of M^m.
 
-    Columns are a block of start states s0.  After t < w steps the top
-    w - t bits of the state are still the low bits of s0, so a column holds
-    only 2^t rows, indexed by the appended bits; from step w on the rows
-    are all 2^w states.  The diagonal is summed as Python ints.
+    Columns are a block of start states s0.  A closed walk from s0 appends
+    m bits: the first m - w are free, and the last w must be s0's own bits,
+    top bit first.  So a column's rows index only the free bits in the
+    window, as a cube of shape (2,)*f + (columns,) with the oldest free bit
+    on axis 0.  A step doubles the rows when a free bit enters, and halves
+    them by one lo + hi add when a free bit leaves (every step after w).
+    Rows peak at 2^min(w, m - w), and each column ends as one entry, its
+    diagonal entry.
+
+    The y closed at step t needs the bits appended at steps t - w + d for
+    d in D, step j <= 0 being s0's bit -j and step j > m - w s0's bit m - j.
+    Its weight-2 test is a strided sub-cube of the rows (the free bits it
+    needs set) times a 0/1 vector over s0 (s0's bits it needs set).
+
+    uint64 is exact: every entry is an entry of M^t, which sums at most
+    2^max(0, t-w) walks of weight at most 2^t, so it is at most
+    2^(2m-w) <= 2^63 as 2m <= 64, w >= 1.  The diagonal is summed as
+    Python ints.
     """
     m, offsets = p.m, p.offsets
     w = max(offsets)
     if w == 0:
         return 3**m  # D = {0}: m disjoint covers x_i < y_i, 3 ideals each
-    nstates = 1 << w
-    cols = min(nstates, max(1, _BLOCK_ENTRIES >> w))
-    _check_budget("circulant-transfer", nstates * cols, memory_budget)
-    need = 0  # bit w-d of the (w+1)-bit window must be set for each d in D
-    for d in offsets:
-        need |= 1 << (w - d)
-    # Bit 0 of need is set (w is in D), so appending a 0 has weight 1, and
-    # appending a 1 to state s has weight 2 iff s covers need >> 1.
-    states = np.arange(nstates, dtype=np.uint64)
-    heavy = (states & np.uint64(need >> 1)) == need >> 1
-    weight1 = heavy.astype(np.uint64) + 1
-    half = nstates >> 1
-    heavy_lo = np.flatnonzero(heavy[:half])
-    heavy_hi = np.flatnonzero(heavy[half:])
-    mask = np.uint64(nstates - 1)
-    # uint64 is exact: an entry of M^t sums at most 2^max(0, t-w) walks of
-    # weight at most 2^t, so it is at most 2^(2t-w) <= 2^63 as 2m <= 64, w >= 1.
+    free = m - w
+    peak_bits = min(w, free)  # a column holds at most 2^peak_bits rows
+    cols = min(1 << w, max(1, _BLOCK_ENTRIES >> peak_bits))
+    # one block is resident, but the charge is never below the 2^w start
+    # states, so a w past the budget is refused before it runs
+    _check_budget("circulant-transfer", max(cols << peak_bits, 1 << w), memory_budget)
     total = 0
-    for start in range(0, nstates, cols):
-        s0 = states[start : start + cols]
-        vec = np.ones((1, s0.size), dtype=np.uint64)
-        for t in range(w):
-            state = ((s0 << np.uint64(t)) | states[: 1 << t, None]) & mask
-            nxt = np.empty((1 << t, 2, s0.size), dtype=np.uint64)
-            nxt[:, 0] = vec
-            np.multiply(vec, weight1[state], out=nxt[:, 1])
-            vec = nxt.reshape(2 << t, s0.size)
-        for _ in range(m - w):
-            # state (h, r) goes to (r, b); only the heavy states weigh 2.
-            lo, hi = vec[:half], vec[half:]
-            nxt = np.empty((half, 2, s0.size), dtype=np.uint64)
-            np.add(lo, hi, out=nxt[:, 0])
-            nxt[:, 1] = nxt[:, 0]
-            nxt[heavy_lo, 1] += lo[heavy_lo]
-            nxt[heavy_hi, 1] += hi[heavy_hi]
-            vec = nxt.reshape(nstates, s0.size)
-        total += sum(vec[start : start + s0.size].diagonal().tolist())
+    for start in range(0, 1 << w, cols):
+        s0 = np.arange(start, min(start + cols, 1 << w), dtype=np.uint64)
+        vec = np.ones(s0.size, dtype=np.uint64)
+        for t in range(1, m + 1):
+            first = max(1, t - w)  # the oldest free step in the window, on axis 0
+            rows = [slice(None)] * (vec.ndim - 1)
+            forced = 0
+            for d in offsets:
+                j = t - w + d
+                if j < 1 or j > free:
+                    forced |= 1 << (-j if j < 1 else m - j)
+                elif j < t:
+                    rows[j - first] = 1
+            col = (s0 & np.uint64(forced)) == forced
+            if t > w:  # the oldest free bit leaves
+                base = vec[0] + vec[1]
+                src = vec[1] if rows[0] == 1 else base
+                rows = tuple(rows[1:])
+            else:
+                base = src = vec
+                rows = tuple(rows)
+            gain = src[rows] * col
+            if t <= free:  # a free bit enters; only its 1 rows gain
+                vec = np.stack([base, base], axis=-2)
+                vec[..., 1, :][rows] += gain
+            else:  # s0's bit m - t enters; col already holds it
+                vec = base
+                vec[rows] += gain
+        total += sum(vec.tolist())
     return total
 
 
@@ -590,13 +605,14 @@ def default_count_methods(p: Poset):
     """(ideal method, extension method) poset_efficiency would pick.
 
     For a circulant the cheaper ideal kernel by estimated work: the
-    transfer trace makes about (m - w) * 4^w updates (w = max D), the
-    bipartite sum about 2^m.  Its extensions are counted by orbit, which
-    keeps about 2^m / m rotation classes where bipartite-fst keeps 2^m sets.
+    transfer trace writes about 2^w * (|m - 2w| + 3) * 2^min(w, m - w)
+    entries (w = max D), the bipartite sum about 2^m.  Its extensions are
+    counted by orbit, which keeps about 2^m / m rotation classes where
+    bipartite-fst keeps 2^m sets.
     """
     if isinstance(p, CirculantBipartitePoset):
-        w = max(p.offsets)
-        cheaper = (p.m - w) * 4**w < 2**p.m
+        m, w = p.m, max(p.offsets)
+        cheaper = 2**w * (abs(m - 2 * w) + 3) * 2 ** min(w, m - w) < 2**m
         ideal_method = "circulant-transfer" if cheaper else "bipartite-sum"
         ext_method = "orbit"
     else:

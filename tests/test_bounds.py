@@ -1,6 +1,7 @@
 """Bound evaluations: entropy helpers, upper bounds, sandwich checks."""
 
 import random
+from math import comb
 
 import mpmath
 import pytest
@@ -20,8 +21,9 @@ from chaineff.bounds import (
 from chaineff.errors import InvalidDegree, InvalidSize
 from chaineff.poset import make_circulant, make_matching_complement, poset_efficiency
 
-#: (value, q) of regular_bipartite_efficiency_limit(d), as the full-precision
-#: grid scan printed them.
+#: (value, q) of regular_bipartite_efficiency_limit(d): for d <= 14 as the
+#: full-precision grid scan printed them; for d = 15, 16 at the peak near
+#: q = 1, whose value near_one_scan confirms.
 LIMITS = {
     1: ("4.24264068711929", "0.666666666795546"),
     2: ("4.05770506102945", "0.734675821460285"),
@@ -37,8 +39,8 @@ LIMITS = {
     12: ("3.70798991338761", "0.999750286582391"),
     13: ("3.72366174038119", "0.999876302405497"),
     14: ("3.73769530331205", "0.999938493397227"),
-    15: ("3.75025874774986", "0.500159358057603"),
-    16: ("3.76163140599858", "0.500084828281260"),
+    15: ("3.75029393076913", "0.999969346918441"),
+    16: ("3.76164903735022", "0.999984702568963"),
 }
 
 
@@ -53,6 +55,21 @@ def full_scan_bracket(d):
         if v > best_v:
             best_i, best_v = i, v
     return eps + max(0, best_i - 1) * step, eps + min(_PRESCAN_POINTS, best_i + 1) * step
+
+
+def near_one_scan(d, points=64, rounds=12):
+    """Oracle: (printed value, q) of the limit's peak near q = 1, by scanning
+    1 - q over a grid on [2^-d / 8, 8 * 2^-d] at full precision and narrowing
+    to the best point's neighbours, each round 32 times finer."""
+    with mpmath.workprec(BOUND_PRECISION_BITS):
+        lo, hi = mpmath.mpf(2) ** -d / 8, 8 * mpmath.mpf(2) ** -d
+        for _ in range(rounds):
+            step = (hi - lo) / points
+            best = max(range(points + 1), key=lambda i: _limit_objective(1 - lo - i * step, d))
+            lo, hi = lo + max(0, best - 1) * step, lo + min(points, best + 1) * step
+        q = 1 - (lo + hi) / 2
+        root = mpmath.power(comb(2 * d, d), mpmath.mpf(1) / (2 * d))
+        return mpmath.nstr(_limit_objective(q, d) * root, 15, strip_zeros=False), q
 
 
 class TestEntropy:
@@ -165,6 +182,16 @@ class TestEfficiencyLimit:
     def test_pinned_values(self, d):
         report = regular_bipartite_efficiency_limit(d)
         assert (report.value, report.auxiliaries["q"]) == LIMITS[d]
+
+    @pytest.mark.parametrize("d", [15, 16, 20, 24, 29, 32])
+    def test_peak_near_one_matches_scan(self, d):
+        # from d = 15 the maximum is the peak at 1 - q ~ 2^-d, which the
+        # pre-scan grid is too coarse to see
+        value, q = near_one_scan(d)
+        report = regular_bipartite_efficiency_limit(d)
+        assert report.value == value
+        # half the search tolerance 1e-9 * 2^-d, plus the printed digits
+        assert abs(mpmath.mpf(report.auxiliaries["q"]) - q) < 2e-14
 
     @pytest.mark.parametrize("d", [14, 15])
     def test_bracket_matches_full_scan(self, d):

@@ -53,6 +53,16 @@ class TestCount:
         assert run(["--memory-budget", "16", *argv]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_transfer_start_states_over_budget_exit_3(self, capsys):
+        # w = 29: one row pair per start state, but 2^29 start states
+        argv = ["count", "ideals", "--builtin", "circulant:30:0,29", "--method", "circulant-transfer"]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "resource limit: circulant-transfer needs 536870912 resident entries,"
+            " over the budget of 268435456\n"
+        )
+
     @pytest.mark.parametrize("cover_line", ["0 1 2", "1"])
     def test_malformed_cover_line_exit_2(self, capsys, tmp_path, cover_line):
         f = tmp_path / "p.txt"

@@ -9,6 +9,7 @@ from math import factorial
 import numpy as np
 import pytest
 
+import chaineff.poset
 from chaineff.errors import InvalidInstance, MethodMismatch, ResourceLimit
 from chaineff.poset import (
     DEFAULT_MEMORY_BUDGET,
@@ -173,6 +174,49 @@ def rotation_classes(m, k):
     )
 
 
+def dense_transfer_trace(p):
+    """Oracle: the ideal count of a circulant as the trace of M^m, each
+    start state s0 walking m full steps over all 2^w states (w = max D).
+    A 1 appended to state s weighs 2 iff s covers need >> 1, where bit
+    w - d of need stands for offset d."""
+    m, offsets = p.m, p.offsets
+    w = max(offsets)
+    if w == 0:
+        return 3**m
+    nstates = 1 << w
+    cols = min(nstates, max(1, (1 << 20) >> w))
+    need = 0
+    for d in offsets:
+        need |= 1 << (w - d)
+    states = np.arange(nstates, dtype=np.uint64)
+    heavy = (states & np.uint64(need >> 1)) == need >> 1
+    weight1 = heavy.astype(np.uint64) + 1
+    half = nstates >> 1
+    heavy_lo = np.flatnonzero(heavy[:half])
+    heavy_hi = np.flatnonzero(heavy[half:])
+    mask = np.uint64(nstates - 1)
+    total = 0
+    for start in range(0, nstates, cols):
+        s0 = states[start : start + cols]
+        vec = np.ones((1, s0.size), dtype=np.uint64)
+        for t in range(w):
+            state = ((s0 << np.uint64(t)) | states[: 1 << t, None]) & mask
+            nxt = np.empty((1 << t, 2, s0.size), dtype=np.uint64)
+            nxt[:, 0] = vec
+            np.multiply(vec, weight1[state], out=nxt[:, 1])
+            vec = nxt.reshape(2 << t, s0.size)
+        for _ in range(m - w):
+            lo, hi = vec[:half], vec[half:]
+            nxt = np.empty((half, 2, s0.size), dtype=np.uint64)
+            np.add(lo, hi, out=nxt[:, 0])
+            nxt[:, 1] = nxt[:, 0]
+            nxt[heavy_lo, 1] += lo[heavy_lo]
+            nxt[heavy_hi, 1] += hi[heavy_hi]
+            vec = nxt.reshape(nstates, s0.size)
+        total += sum(vec[start : start + s0.size].diagonal().tolist())
+    return total
+
+
 def lucas(n):
     a, b = 2, 1
     for _ in range(n):
@@ -264,6 +308,37 @@ class TestIdealCounting:
         offsets = {0, w} | set(rng.sample(range(1, w), rng.randint(0, 4)))
         p = make_circulant(m, offsets)
         assert count_ideals(p, "circulant-transfer") == count_ideals(p, "bipartite-sum")
+
+    @pytest.mark.parametrize("shape", ["m<2w", "m=2w", "m>2w"])
+    @pytest.mark.parametrize("cols", [None, 1, 8])
+    def test_transfer_matches_dense_trace(self, monkeypatch, shape, cols):
+        # cols None runs the real block; 1 and 8 force blocks of that many
+        # start states, so the last block is short
+        rng = random.Random(f"{shape}{cols}")
+        for _ in range(25):
+            if shape == "m<2w":
+                w = rng.randint(2, 8)
+                m = rng.randint(w + 1, 2 * w - 1)
+            elif shape == "m=2w":
+                w = rng.randint(1, 8)
+                m = 2 * w
+            else:
+                w = rng.randint(1, 6)
+                m = rng.randint(2 * w + 1, 16)
+            # D = {w} about one time in four; 0 is left out of D about half the time
+            low = rng.sample(range(w), rng.randint(0, w)) if rng.random() < 0.75 else []
+            p = make_circulant(m, {w, *low})
+            if cols is not None:
+                monkeypatch.setattr(chaineff.poset, "_BLOCK_ENTRIES", cols << min(w, m - w))
+            assert count_ideals(p, "circulant-transfer") == dense_transfer_trace(p), p
+
+    @pytest.mark.parametrize(
+        "m,offsets", [(16, (1, 3, 8)), (13, (6,)), (12, (2, 5, 6)), (32, (0, 3, 10))]
+    )
+    def test_transfer_matches_dense_trace_pinned(self, m, offsets):
+        # m = 2w with 0 not in D; D = {w}; m = 2w; and m = 32, the largest m
+        p = make_circulant(m, offsets)
+        assert count_ideals(p, "circulant-transfer") == dense_transfer_trace(p)
 
     @pytest.mark.parametrize("nx,ny", [(3, 5), (5, 3), (5, 7), (7, 4), (1, 6)])
     def test_bipartite_sum_matches_lattice(self, nx, ny):
@@ -383,8 +458,9 @@ class TestDefaultMethods:
             (lambda: make_circulant(24, (0, 5, 10, 13)), "bipartite-sum"),
             (lambda: make_circulant(29, (0, 1, 3, 6, 10, 15)), "bipartite-sum"),
             (lambda: make_circulant(5, (0,)), "circulant-transfer"),
+            (lambda: make_circulant(15, (0, 2, 6)), "circulant-transfer"),
         ],
-        ids=["matchcomp12", "m18w6", "m24w13", "m29w15", "m5w0"],
+        ids=["matchcomp12", "m18w6", "m24w13", "m29w15", "m5w0", "m15w6"],
     )
     def test_circulant_ideal_method(self, poset, method):
         assert default_count_methods(poset())[0] == method
