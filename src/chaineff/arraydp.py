@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimit
-from .semiring import ARRAY_INF, INF, ArrayCosts
+from .semiring import ARRAY_INF, ArrayCosts
 
 # entries of one (tuples, transitions) scratch array; bounds the batch size,
 # and with it the memory a sweep adds to the process (about 3 such arrays)
@@ -50,8 +50,8 @@ def build_plan(family: np.ndarray, n: int, degree: int, budget: int) -> list[_La
     A mask is a state (degree 1) when a chain of members reaches it from
     the empty set; a degree-2 state is a reachable mask and an element
     whose removal leaves a reachable mask, and its predecessors are the
-    states on that smaller mask.  Raises ResourceLimit as soon as the
-    transitions stored pass ``budget``.
+    states on that smaller mask.  Raises ResourceLimit before a layer is
+    built whose transitions would take those stored past ``budget``.
     """
     if n > 64:
         raise ResourceLimit("the DP plan holds masks of at most 64 elements")
@@ -70,6 +70,16 @@ def build_plan(family: np.ndarray, n: int, degree: int, budget: int) -> list[_La
         up = np.searchsorted(masks, parents)
         hit = masks[np.minimum(up, len(masks) - 1)] == parents
         rows, elem, up = rows[hit], elem[hit], up[hit]  # edges, ordered by child mask
+        if degree == 1:
+            stored += len(up)
+        else:
+            # an edge's transitions leave the states on its parent mask
+            first = np.searchsorted(below_mask, np.arange(len(masks) + 1))
+            lo = first[up]
+            counts = first[up + 1] - lo
+            stored += int(counts.sum())
+        if stored > budget:
+            raise ResourceLimit("DP plan exceeds the memory budget")
         reached, starts = np.unique(rows, return_index=True)
         if degree == 1:
             n_below = len(masks)
@@ -77,19 +87,13 @@ def build_plan(family: np.ndarray, n: int, degree: int, budget: int) -> list[_La
             pred, prev = up, np.full(len(up), n)
         else:
             n_below = len(below_mask)
-            first = np.searchsorted(below_mask, np.arange(len(masks) + 1))
             masks = cand[reached]
             child = np.searchsorted(reached, rows)
-            lo = first[up]
-            counts = first[up + 1] - lo
             starts = np.cumsum(counts) - counts
             pred = np.arange(counts.sum()) - np.repeat(starts - lo, counts)
             prev = below_last[pred]
             below_mask, below_last = child, elem
             elem = np.repeat(elem, counts)
-        stored += len(pred)
-        if stored > budget:
-            raise ResourceLimit("DP plan exceeds the memory budget")
         out = np.bincount(pred, minlength=n_below)
         layers.append(_Layer(pred, starts, prev, elem, out))
     return layers
@@ -104,13 +108,10 @@ class Run:
     live: np.ndarray  # (B, n + 1) finite entries per layer, the root's layer first
     kept: list  # with keep_all, layers 1..n: (B, T) candidates and (B, S) values
 
-    def value(self, row: int):
-        """Row ``row``'s value as a Python int, or INF."""
-        v = int(self.values[row])
-        return INF if v >= ARRAY_INF else v
-
-    def sweep_peak(self) -> int:
-        """Largest two consecutive layers of any row: what a run holds."""
+    def peak(self) -> int:
+        """Finite entries a row holds at most: every layer if kept, else two consecutive."""
+        if self.kept:
+            return int(self.live.sum(axis=1).max())
         return int((self.live[:, :-1] + self.live[:, 1:]).max())
 
 

@@ -133,11 +133,16 @@ def cartesian_power(
         raise InvalidSize(f"universe {k * a.n} exceeds {MAX_ELEMENTS}")
     if len(a) ** k > memory_budget:
         raise ResourceLimit(f"|A|^{k} exceeds the memory budget")
-    members = [0]
+    return SetSystem(k * a.n, product_family(a, k))
+
+
+def product_family(a: SetSystem, k: int) -> np.ndarray:
+    """The |A|^k uint64 masks of A^k, unsorted: copy r's member shifted by r*n."""
+    members = np.array(a.members, dtype=np.uint64)
+    family = np.zeros(1, dtype=np.uint64)
     for r in range(k):
-        shift = r * a.n
-        members = [base | (m << shift) for base in members for m in a.members]
-    return SetSystem(k * a.n, members)
+        family = (family[:, None] | (members << np.uint64(r * a.n))).ravel()
+    return family
 
 
 def chain_correspondence(a: SetSystem, pi: Sequence[int]) -> bool:

@@ -1,9 +1,11 @@
 """Exact solvers for permutation problems.
 
-Three routes: full-subset dynamic programming (Held-Karp style), a
-polynomial-space divide-and-conquer for TSP, and the chain-tradeoff
-solver that restricts the subset DP to a chain-efficient set system and
-sweeps a product of permutation covers.
+Two routes: the chain-tradeoff solver, which restricts the subset DP to
+a chain-efficient set system and sweeps a product of permutation covers,
+and a polynomial-space divide-and-conquer for TSP.  Full-subset dynamic
+programming (Held-Karp) is the tradeoff over all 2^N subsets, whose one
+cover tuple is the identity.  A sweep runs on the array kernel of
+``arraydp`` when the problem has an array form, else on the callback DP.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .semiring import (
     TspInstance,
     tsp_weight_array,
 )
-from .setsystem import SetSystem, cartesian_power
+from .setsystem import SetSystem, cartesian_power, product_family
 
 
 @dataclass
@@ -41,13 +43,16 @@ class SolveStats:
     """Space and time of one solve.
 
     ``peak_resident_entries`` is the larger of ``sweep_peak_entries``, the
-    largest table one DP run of the sweep (or Held-Karp's one run) holds,
-    and ``witness_peak_entries``, that of the tradeoff's witness re-run.
-    ``batch_resident_entries`` is the table space the memory budget was
-    checked against: a batch of dense per-tuple tables on the array kernel
-    (the budget also holds its plan), the finite entries held on the
-    callback DP.  For gs the peaks are those of the sequential recursion,
-    and ``batch_resident_entries`` bounds its batched kernel's arrays.
+    largest table one DP run of the sweep holds, and
+    ``witness_peak_entries``, that of the winning tuple's re-run.  A sweep
+    of one tuple (Held-Karp, or a tradeoff whose cover product is 1) has
+    no re-run: its one run keeps every layer for the witness, its peak is
+    the sweep's, and the witness peak is 0.  ``batch_resident_entries`` is
+    the table space the memory budget was checked against: a batch of
+    dense per-tuple tables on the array kernel (the budget also holds its
+    plan), the finite entries held on the callback DP.  For gs the peaks
+    are those of the sequential recursion, and ``batch_resident_entries``
+    bounds its batched kernel's arrays.
     """
 
     peak_resident_entries: int = 0
@@ -184,60 +189,6 @@ def _reconstruct(parents, full_mask, key):
         order.append(last)
         mask ^= 1 << last
     return tuple(reversed(order))
-
-
-# ---------------------------------------------------------------------------
-# Held-Karp
-
-
-def solve_held_karp(
-    problem: PermutationProblem, memory_budget: int = DEFAULT_MEMORY_BUDGET
-) -> SolveResult:
-    """Full subset DP over all 2^N prefix sets; works for any semiring.
-
-    A problem with an array form runs the array kernel on the family of
-    all subsets; any other runs the callback DP.
-    """
-    n = problem.n
-    stats = SolveStats()
-    t0 = time.monotonic()
-    if 1 << n > memory_budget:
-        raise ResourceLimit("the 2^N prefix sets exceed the memory budget")
-    if problem.arrays is not None:
-        dp = ArrayDP(
-            problem.arrays, n, np.arange(1 << n, dtype=np.uint64), n, problem.degree, memory_budget
-        )
-        dp.batch_size(1, memory_budget, keep_all=True)
-        identity = np.arange(n)
-        run = dp.run(identity[None], keep_all=True)
-        value = run.value(0)
-        witness = dp.walk(run, identity) if value != INF else None
-        stats.total_dp_updates = int(run.updates[0])
-        stats.peak_resident_entries = int(run.live[0].sum())
-        stats.batch_resident_entries = dp.entries(keep_all=True)
-    else:
-        masks_by_popcount = [[] for _ in range(n + 1)]
-        for mask in range(1 << n):
-            masks_by_popcount[mask.bit_count()].append(mask)
-        table, parents = _subset_dp(
-            n,
-            problem.degree,
-            problem.semiring,
-            problem.cost_fn,
-            masks_by_popcount,
-            memory_budget,
-            stats,
-            want_parents=True,
-        )
-        full_mask = (1 << n) - 1
-        value, key = _final_value(table, full_mask, problem.semiring)
-        witness = None
-        if key is not None and value != problem.semiring.zero:
-            witness = _reconstruct(parents, full_mask, key)
-        stats.batch_resident_entries = stats.peak_resident_entries
-    stats.sweep_peak_entries = stats.peak_resident_entries
-    stats.wall_time = time.monotonic() - t0
-    return SolveResult(value=value, witness=witness, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +351,19 @@ def solve_gurevich_shelah(
 
 
 # ---------------------------------------------------------------------------
-# Chain-tradeoff solver
+# Chain-tradeoff solver, and Held-Karp as its sweep over 2^[N]
 
 
 def _padded_cost_fn(problem: PermutationProblem, n_padded: int):
-    """Extend the cost oracle to the padded size.
+    """Extend the cost oracle to the padded size; the oracle itself if none is padded.
 
     Positions beyond the original size accept only the identity placement;
     any earlier appearance of a padding element is rejected through the
     additive identity, which annihilates the product.
     """
     n = problem.n
+    if n_padded == n:
+        return problem.cost_fn
     sr = problem.semiring
     clean = (1 << n) - 1
 
@@ -431,15 +384,6 @@ def _build_cover(system: SetSystem, cfg: SolverConfig) -> PermutationCover:
     if cfg.cover_strategy == "random":
         return randomized_cover(system, cfg.seed)
     raise InvalidInstance(f"unknown cover strategy {cfg.cover_strategy!r}")
-
-
-def _product_family(system: SetSystem, s: int) -> np.ndarray:
-    """uint64 masks of A^s: one member of A per group of system.n elements."""
-    members = np.array(system.members, dtype=np.uint64)
-    family = np.zeros(1, dtype=np.uint64)
-    for i in range(s):
-        family = (family[:, None] | (members << np.uint64(i * system.n))).ravel()
-    return family
 
 
 def _tuple_labels(cover: PermutationCover, s: int, lo: int, hi: int) -> np.ndarray:
@@ -464,37 +408,50 @@ def _relabel(family: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep_arrays(problem, cfg, family, n_padded, cover, s, stats):
-    """Value and witness of the sweep on the array kernel."""
+def _sweep_arrays(problem, budget, family, n_padded, cover, s, stats):
+    """Value and witness of the sweep on the array kernel.
+
+    Tuples run in batches that keep two layers; the winner is re-run
+    keeping every layer for its witness.  A lone tuple runs once, keeping
+    every layer, and that run gives both.
+    """
     n = problem.n
-    dp = ArrayDP(problem.arrays, n, family, n_padded, problem.degree, cfg.memory_budget)
+    dp = ArrayDP(problem.arrays, n, family, n_padded, problem.degree, budget)
     tuples = len(cover) ** s
-    batch = dp.batch_size(tuples, cfg.memory_budget, keep_all=False)
-    stats.batch_resident_entries = batch * dp.entries(keep_all=False)
+    keep_all = tuples == 1
+    batch = dp.batch_size(tuples, budget, keep_all)
+    stats.batch_resident_entries = batch * dp.entries(keep_all)
     best_value, best_tuple = ARRAY_INF, 0
     for lo in range(0, tuples, batch):
-        run = dp.run(_tuple_labels(cover, s, lo, min(lo + batch, tuples)))
+        run = dp.run(_tuple_labels(cover, s, lo, min(lo + batch, tuples)), keep_all)
         stats.total_dp_updates += int(run.updates.sum())
-        stats.sweep_peak_entries = max(stats.sweep_peak_entries, run.sweep_peak())
+        stats.sweep_peak_entries = max(stats.sweep_peak_entries, run.peak())
         row = int(np.argmin(run.values))
         if run.values[row] < best_value:
             best_value, best_tuple = int(run.values[row]), lo + row
     if best_value >= ARRAY_INF:
         return INF, None
-    dp.batch_size(1, cfg.memory_budget, keep_all=True)
     inv = _tuple_labels(cover, s, best_tuple, best_tuple + 1)
-    run = dp.run(inv, keep_all=True)
-    stats.total_dp_updates += int(run.updates[0])
-    stats.witness_peak_entries = int(run.live[0].sum())
+    if not keep_all:
+        dp.batch_size(1, budget, keep_all=True)
+        run = dp.run(inv, keep_all=True)
+        stats.total_dp_updates += int(run.updates[0])
+        stats.witness_peak_entries = run.peak()
     return best_value, dp.walk(run, inv[0])[:n]
 
 
-def _sweep_callback(problem, cfg, family, n_padded, cover, s, stats):
-    """Value and witness of the sweep on the callback DP, one tuple at a time."""
+def _sweep_callback(problem, budget, family, n_padded, cover, s, stats):
+    """Value and witness of the sweep on the callback DP, one tuple at a time.
+
+    The sweep keeps no parent pointers and the winner is re-run with
+    them; a lone tuple runs once with them.
+    """
     sr = problem.semiring
     padded_cost = _padded_cost_fn(problem, n_padded)
     full_mask = (1 << n_padded) - 1
     pop = np.bitwise_count(family)
+    tuples = len(cover) ** s
+    keep_all = tuples == 1
     sweep, rerun = SolveStats(), SolveStats()
 
     def run_tuple(t, run_stats, want_parents):
@@ -506,27 +463,26 @@ def _sweep_callback(problem, cfg, family, n_padded, cover, s, stats):
             sr,
             padded_cost,
             masks_by_popcount,
-            cfg.memory_budget,
+            budget,
             run_stats,
             want_parents=want_parents,
         )
 
     best_value = sr.zero
     best_tuple = None
-    for t in range(len(cover) ** s):
-        table, _ = run_tuple(t, sweep, want_parents=False)
-        value, _ = _final_value(table, full_mask, sr)
+    for t in range(tuples):
+        table, parents = run_tuple(t, sweep, want_parents=keep_all)
+        value, key = _final_value(table, full_mask, sr)
         merged = sr.add(best_value, value)
         if best_tuple is None or (merged == value and merged != best_value):
             best_tuple = t
         best_value = merged
 
     witness = None
-    if best_value != sr.zero and best_tuple is not None:
-        # re-run the winning tuple with parent tracking; keeps the sweep's
-        # peak space free of parent pointers
-        table, parents = run_tuple(best_tuple, rerun, want_parents=True)
-        _, key = _final_value(table, full_mask, sr)
+    if best_value != sr.zero:
+        if not keep_all:
+            table, parents = run_tuple(best_tuple, rerun, want_parents=True)
+            _, key = _final_value(table, full_mask, sr)
         if key is not None:
             witness = _reconstruct(parents, full_mask, key)[: problem.n]
     stats.total_dp_updates += sweep.total_dp_updates + rerun.total_dp_updates
@@ -534,6 +490,19 @@ def _sweep_callback(problem, cfg, family, n_padded, cover, s, stats):
     stats.witness_peak_entries = rerun.peak_resident_entries
     stats.batch_resident_entries = max(stats.sweep_peak_entries, stats.witness_peak_entries)
     return best_value, witness
+
+
+def _solve(problem, budget, family, n_padded, cover, s, t0) -> SolveResult:
+    """Sweep the tuples of ``cover``^s over ``family`` on the problem's engine.
+
+    The wall time runs from ``t0``.
+    """
+    stats = SolveStats(cover_product_size=len(cover) ** s)
+    sweep = _sweep_arrays if problem.arrays is not None else _sweep_callback
+    value, witness = sweep(problem, budget, family, n_padded, cover, s, stats)
+    stats.peak_resident_entries = max(stats.sweep_peak_entries, stats.witness_peak_entries)
+    stats.wall_time = time.monotonic() - t0
+    return SolveResult(value=value, witness=witness, stats=stats)
 
 
 def solve_chain_tradeoff(problem: PermutationProblem, cfg: SolverConfig) -> SolveResult:
@@ -556,22 +525,29 @@ def solve_chain_tradeoff(problem: PermutationProblem, cfg: SolverConfig) -> Solv
     if not base.admits_chains():
         raise InvalidSetSystem("set system must contain the empty and full set")
     system = cartesian_power(base, cfg.g)
-    gn = system.n
-    n = problem.n
-    s = ceil(n / gn)
-    n_padded = gn * s
+    s = ceil(problem.n / system.n)
     t0 = time.monotonic()
     cover = _build_cover(system, cfg)
     if not cover.certified:
         raise ResourceLimit("cover could not be certified")
     if len(system) ** s > cfg.memory_budget:
         raise ResourceLimit(f"|A|^{s} exceeds the memory budget")
+    family = product_family(system, s)
+    return _solve(problem, cfg.memory_budget, family, system.n * s, cover, s, t0)
 
-    stats = SolveStats()
-    stats.cover_product_size = len(cover) ** s
-    family = _product_family(system, s)
-    sweep = _sweep_arrays if problem.arrays is not None else _sweep_callback
-    value, witness = sweep(problem, cfg, family, n_padded, cover, s, stats)
-    stats.peak_resident_entries = max(stats.sweep_peak_entries, stats.witness_peak_entries)
-    stats.wall_time = time.monotonic() - t0
-    return SolveResult(value=value, witness=witness, stats=stats)
+
+def solve_held_karp(
+    problem: PermutationProblem, memory_budget: int = DEFAULT_MEMORY_BUDGET
+) -> SolveResult:
+    """Full subset DP over all 2^N prefix sets; works for any semiring.
+
+    It is the chain tradeoff over A = 2^[N], whose cover is the identity
+    alone; with one tuple swept, the semiring need not be idempotent.
+    """
+    n = problem.n
+    t0 = time.monotonic()
+    if 1 << n > memory_budget:
+        raise ResourceLimit("the 2^N prefix sets exceed the memory budget")
+    identity = PermutationCover(n, (tuple(range(n)),), True)
+    family = np.arange(1 << n, dtype=np.uint64)
+    return _solve(problem, memory_budget, family, n, identity, 1, t0)

@@ -3,6 +3,7 @@
 import dataclasses
 import random
 import time
+import tracemalloc
 from itertools import combinations, permutations
 from math import ceil, comb, factorial, log2, perm
 
@@ -23,13 +24,15 @@ from chaineff.semiring import (
     evaluate_permutation,
     tsp_as_permutation_problem,
 )
-from chaineff.arraydp import SCRATCH_ENTRIES, ArrayDP
-from chaineff.setsystem import from_poset_ideals, full_power_set, tower_of_cubes
+import numpy as np
+
+from chaineff.arraydp import SCRATCH_ENTRIES, ArrayDP, build_plan
+from chaineff.setsystem import from_poset_ideals, full_power_set, product_family, tower_of_cubes
 from chaineff.solver import (
     SolveStats,
     SolverConfig,
     _footprint,
-    _product_family,
+    _padded_cost_fn,
     _subset_dp,
     solve_chain_tradeoff,
     solve_gurevich_shelah,
@@ -523,7 +526,7 @@ class TestArrayKernel:
     def test_budget_checks_a_whole_tuple_before_the_sweep(self):
         prob = tsp_as_permutation_problem(random_tsp(random.Random(5), 8))
         system = tower_of_cubes(2, 2)
-        family = _product_family(system, 2)
+        family = product_family(system, 2)
         dp = ArrayDP(prob.arrays, prob.n, family, 8, prob.degree, DEFAULT_MEMORY_BUDGET)
         for keep_all in (False, True):
             fits = dp.plan_entries + dp.entries(keep_all)
@@ -538,3 +541,57 @@ class TestArrayKernel:
             solve_chain_tradeoff(
                 prob, SolverConfig(set_system=system, memory_budget=dp.plan_entries - 1)
             )
+
+
+class TestPlanBudget:
+    def test_refused_layer_is_not_allocated(self):
+        # degree 2 over the masks of at most 5 of 16 elements: layers 1..4
+        # hold 25,456 transitions and layer 5 alone 87,360.  The kept layers
+        # and the scan of layer 5's 21,840 edges stay under 16 budget-sized
+        # int64 arrays; building layer 5's index arrays as well passes 21.
+        masks = np.arange(1 << 16, dtype=np.uint64)
+        family = masks[np.bitwise_count(masks) <= 5]
+        sizes = [len(layer.pred) for layer in build_plan(family, 16, 2, DEFAULT_MEMORY_BUDGET)]
+        assert sizes[:5] == [16, 240, 3360, 21840, 87360]
+        budget = sum(sizes[:4])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit):
+                build_plan(family, 16, 2, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 8 * budget
+
+
+class TestPowerSetIsHeldKarp:
+    """Over A = 2^[k] the identity alone covers S_k, so the sweep has one
+    tuple over A^s = 2^[ks]: the tradeoff is Held-Karp, stats and all."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_same_result_and_stats(self, seed):
+        rng = random.Random(900 + seed)
+        k = rng.randint(2, 4)
+        n = k * rng.randint(1, 7 // k)
+        problems = [
+            tsp_as_permutation_problem(zero_inf_tsp(rng, n + 1)),
+            dfas_as_permutation_problem(parallel_arc_dfas(rng, n)),
+            table_problem(rng, n, rng.randint(1, 4)),
+        ]
+        for prob in problems + [callback_only(p) for p in problems[:2]]:
+            assert prob.n % k == 0
+            held_karp = solve_held_karp(prob)
+            for system in (full_power_set(k), tower_of_cubes(k, 1)):
+                res = solve_chain_tradeoff(prob, SolverConfig(set_system=system))
+                assert res.value == held_karp.value
+                assert res.witness == held_karp.witness
+                assert dataclasses.replace(res.stats, wall_time=0.0) == dataclasses.replace(
+                    held_karp.stats, wall_time=0.0
+                )
+                assert res.stats.cover_product_size == 1
+                assert res.stats.witness_peak_entries == 0
+
+    def test_unpadded_oracle_is_not_wrapped(self):
+        prob = table_problem(random.Random(1), 4, 2)
+        assert _padded_cost_fn(prob, 4) is prob.cost_fn
+        assert _padded_cost_fn(prob, 6) is not prob.cost_fn
