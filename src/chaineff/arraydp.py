@@ -5,7 +5,8 @@ passes over F and no per-entry Python: the states of each popcount layer,
 and for each state the transitions into it, stored contiguously, so that
 one ``np.minimum.reduceat`` per layer takes every state's minimum.  A state
 is a prefix set (degree 1) or a prefix set with its last element (degree
-2), the states of the callback DP ``solver._subset_dp``.
+2), the states of the callback DP ``solver._CallbackDP``, which keeps the
+same run and walk contract for every other problem.
 
 The plan reads no cost.  A run takes a batch of labellings, one row per
 cover tuple: plan element x stands for the problem's element ``inv[x]``.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimit
-from .semiring import ARRAY_INF, ArrayCosts
+from .semiring import ARRAY_INF, INF, ArrayCosts
 
 # entries of one (tuples, transitions) scratch array; bounds the batch size,
 # and with it the memory a sweep adds to the process (about 3 such arrays)
@@ -103,10 +104,12 @@ def build_plan(family: np.ndarray, n: int, degree: int, budget: int) -> list[_La
 class Run:
     """One batch: per row its value, updates and finite entries per layer."""
 
-    values: np.ndarray  # (B,) int64, ARRAY_INF where no order is finite
+    values: np.ndarray  # (B,) objects, the semiring's values; INF where no order is finite
     updates: np.ndarray  # (B,) transitions out of finite states
     live: np.ndarray  # (B, n + 1) finite entries per layer, the root's layer first
-    kept: list  # with keep_all, layers 1..n: (B, T) candidates and (B, S) values
+    # with keep_all, what walk reads: here layers 1..n of (B, T) candidates
+    # and (B, S) values, on the callback DP its table
+    kept: list | dict
 
     def peak(self) -> int:
         """Finite entries a row holds at most: every layer if kept, else two consecutive."""
@@ -144,6 +147,10 @@ class ArrayDP:
         if keep_all:
             return sum(self.sizes) + self.plan_entries
         return max(a + b for a, b in zip(self.sizes, self.sizes[1:]))
+
+    def held(self, run: Run) -> int:
+        """Entries the run held against the budget: its batch's dense tables."""
+        return len(run.values) * self.entries(bool(run.kept))
 
     def batch_size(self, rows: int, budget: int, keep_all: bool) -> int:
         """Rows per batch, at least one.
@@ -192,7 +199,9 @@ class ArrayDP:
             live.append(np.count_nonzero(vals < ARRAY_INF, axis=1))
             if keep_all:
                 kept.append((cand, vals))
-        return Run(vals.min(axis=1), updates, np.stack(live, axis=1), kept)
+        best = vals.min(axis=1)
+        values = np.where(best < ARRAY_INF, best.astype(object), INF)
+        return Run(values, updates, np.stack(live, axis=1), kept)
 
     def walk(self, run: Run, inv: np.ndarray) -> tuple:
         """An optimal order of a one-row ``keep_all`` run, in the problem's labels.

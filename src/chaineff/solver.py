@@ -4,8 +4,10 @@ Two routes: the chain-tradeoff solver, which restricts the subset DP to
 a chain-efficient set system and sweeps a product of permutation covers,
 and a polynomial-space divide-and-conquer for TSP.  Full-subset dynamic
 programming (Held-Karp) is the tradeoff over all 2^N subsets, whose one
-cover tuple is the identity.  A sweep runs on the array kernel of
-``arraydp`` when the problem has an array form, else on the callback DP.
+cover tuple is the identity.  One driver runs a sweep on either engine
+of the same run and walk contract: the array kernel of ``arraydp`` when
+the problem has an array form, else the callback DP, which calls the
+problem's cost oracle per entry.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import ceil, comb, factorial
 
 import numpy as np
 
-from .arraydp import SCRATCH_ENTRIES, ArrayDP
+from .arraydp import SCRATCH_ENTRIES, ArrayDP, Run
 from .cover import PermutationCover, greedy_cover, randomized_cover
 from .errors import (
     InvalidInstance,
@@ -31,7 +33,6 @@ from .semiring import (
     ARRAY_INF,
     INF,
     PermutationProblem,
-    Semiring,
     TspInstance,
     tsp_weight_array,
 )
@@ -48,9 +49,10 @@ class SolveStats:
     of one tuple (Held-Karp, or a tradeoff whose cover product is 1) has
     no re-run: its one run keeps every layer for the witness, its peak is
     the sweep's, and the witness peak is 0.  ``batch_resident_entries`` is
-    the table space the memory budget was checked against: a batch of
-    dense per-tuple tables on the array kernel (the budget also holds its
-    plan), the finite entries held on the callback DP.  For gs the peaks
+    the table space the memory budget was checked against, the most that
+    any one run held, the witness re-run included: a batch of dense
+    per-tuple tables on the array kernel (the budget also holds its plan),
+    the finite entries held on the callback DP.  For gs the peaks
     are those of the sequential recursion, and ``batch_resident_entries``
     bounds its batched kernel's arrays.
     """
@@ -92,103 +94,109 @@ class SolverConfig:
 # on (X + last, the last d - 1 elements of that window).  For d = 1 every
 # key is (), so the states are plain subsets; for d = 2 they are the
 # (subset, last city) states of Held-Karp.  Only admissible masks get a
-# row, so a missing parent row contributes the additive identity.
+# row, so a missing parent row contributes the additive identity, and
+# entries equal to the additive identity are not stored.
 
 
-def _subset_dp(
-    n: int,
-    degree: int,
-    sr: Semiring,
-    cost_fn,
-    masks_by_popcount,
-    budget: int,
-    stats: SolveStats,
-    want_parents: bool,
-):
-    """Run the DP; returns (table, parents).
+class _CallbackDP:
+    """The DP over ``family`` on the problem's semiring and cost oracle.
 
-    ``masks_by_popcount`` lists admissible masks per cardinality;
-    ``table[mask]`` maps keys to semiring values, and ``parents[mask]``
-    maps each key to the (last, parent key) step that produced its value.
-    Entries equal to the additive identity are not stored.  Without parent
-    pointers a layer reads only the one before it, so the rows of popcount
-    k - 2 are dropped before layer k is built and ``table`` ends with the
-    last two layers; ``resident`` counts the live entries.
+    It keeps the contract of ``arraydp.ArrayDP``: ``batch_size``, ``run``
+    and ``walk``, with batches of one labelling row.  A run relabels the
+    family, so its tables are keyed by the problem's own masks, and checks
+    the entries it holds against the budget as it stores them.
     """
-    keep = degree - 1
-    zero, add, mul = sr.zero, sr.add, sr.mul
-    table: dict[int, dict[tuple, object]] = {0: {(): sr.one}}
-    parents: dict[int, dict[tuple, tuple]] = {}
-    resident = peak = 1
-    updates = 0
-    for k in range(1, n + 1):
-        if not want_parents and k >= 2:
-            for mask in masks_by_popcount[k - 2]:
-                resident -= len(table.pop(mask, ()))
-        for mask in masks_by_popcount[k]:
-            row = {}
-            prow = {}
-            rest = mask
-            while rest:
-                bit = rest & -rest
-                rest ^= bit
-                prev_row = table.get(mask ^ bit)
-                if prev_row is None:
-                    continue
-                last = bit.bit_length() - 1
-                for pkey, pvalue in prev_row.items():
-                    window = pkey + (last,)
-                    cand = mul(pvalue, cost_fn(mask, window))
-                    updates += 1
-                    key = window[-keep:] if keep else ()
-                    current = row.get(key)
-                    if current is None:
-                        if cand == zero:
-                            continue
-                        resident += 1
-                        if resident > budget:
-                            raise ResourceLimit("DP table exceeds the memory budget")
-                        row[key] = cand
-                        if want_parents:
-                            prow[key] = (last, pkey)
-                    else:
-                        merged = add(current, cand)
-                        row[key] = merged
-                        if want_parents and merged == cand and merged != current:
-                            prow[key] = (last, pkey)
-            if row:
-                table[mask] = row
-                if want_parents:
-                    parents[mask] = prow
-        peak = max(peak, resident)
-    stats.total_dp_updates += updates
-    stats.peak_resident_entries = max(stats.peak_resident_entries, peak)
-    return table, parents
 
+    def __init__(self, problem: PermutationProblem, family: np.ndarray, n: int, budget: int):
+        self.n, self.degree, self.sr = n, problem.degree, problem.semiring
+        self.cost_fn = _padded_cost_fn(problem, n)
+        self.family, self.pop = family, np.bitwise_count(family)
+        self.budget = budget
 
-def _final_value(table, full_mask, sr):
-    row = table.get(full_mask)
-    if not row:
-        return sr.zero, None
-    best_val = sr.zero
-    best_key = None
-    for key, value in row.items():
-        merged = sr.add(best_val, value)
-        if best_key is None or (merged == value and merged != best_val):
-            best_key = key
-        best_val = merged
-    return best_val, best_key
+    def batch_size(self, rows: int, budget: int, keep_all: bool) -> int:
+        """One row: a run's entries are checked as it stores them."""
+        return 1
 
+    def held(self, run: Run) -> int:
+        """Entries the run held against the budget: its finite entries at peak."""
+        return run.peak()
 
-def _reconstruct(parents, full_mask, key):
-    """Walk parent pointers from (full_mask, key) back to the empty set."""
-    mask = full_mask
-    order = []
-    while mask:
-        last, key = parents[mask][key]
-        order.append(last)
-        mask ^= 1 << last
-    return tuple(reversed(order))
+    def run(self, labels: np.ndarray, keep_all: bool = False) -> Run:
+        """The DP for the one labelling row of ``labels`` (1, n).
+
+        Without ``keep_all`` a layer reads only the one before it, so the
+        rows of popcount k - 2 are dropped before layer k is built.
+        """
+        masks = _relabel(self.family, labels[0])
+        by_popcount = [masks[self.pop == k].tolist() for k in range(self.n + 1)]
+        keep = self.degree - 1
+        zero, add, mul, cost_fn = self.sr.zero, self.sr.add, self.sr.mul, self.cost_fn
+        table: dict[int, dict[tuple, object]] = {0: {(): self.sr.one}}
+        live = [1]
+        resident = 1
+        updates = 0
+        for k in range(1, self.n + 1):
+            if not keep_all and k >= 2:
+                for mask in by_popcount[k - 2]:
+                    resident -= len(table.pop(mask, ()))
+            below = resident
+            for mask in by_popcount[k]:
+                row = {}
+                rest = mask
+                while rest:
+                    bit = rest & -rest
+                    rest ^= bit
+                    prev_row = table.get(mask ^ bit)
+                    if prev_row is None:
+                        continue
+                    last = bit.bit_length() - 1
+                    for pkey, pvalue in prev_row.items():
+                        window = pkey + (last,)
+                        cand = mul(pvalue, cost_fn(mask, window))
+                        updates += 1
+                        key = window[-keep:] if keep else ()
+                        current = row.get(key)
+                        if current is None:
+                            if cand == zero:
+                                continue
+                            resident += 1
+                            if resident > self.budget:
+                                raise ResourceLimit("DP table exceeds the memory budget")
+                            row[key] = cand
+                        else:
+                            row[key] = add(current, cand)
+                if row:
+                    table[mask] = row
+            live.append(resident - below)
+        value = self.sr.add_many(table.get((1 << self.n) - 1, {}).values())
+        kept = table if keep_all else []
+        return Run(np.array([value], dtype=object), np.array([updates]), np.array([live]), kept)
+
+    def walk(self, run: Run, labels: np.ndarray) -> tuple:
+        """An optimal order of a one-row ``keep_all`` run.
+
+        From the first key of the full mask that holds the run's value, each
+        step back takes the first step into the state, in the DP's order
+        (bits ascending, then the parent row's keys as stored), whose
+        product equals the state's value.
+        """
+        table, keep, mul = run.kept, self.degree - 1, self.sr.mul
+        mask = (1 << self.n) - 1
+        key = next(key for key, value in table[mask].items() if value == run.values[0])
+        order = []
+        while mask:
+            value = table[mask][key]
+            last, key = next(
+                (last, pkey)
+                for last in range(self.n)
+                if mask >> last & 1
+                for pkey, pvalue in table.get(mask ^ 1 << last, {}).items()
+                if ((pkey + (last,))[-keep:] if keep else ()) == key
+                and mul(pvalue, self.cost_fn(mask, pkey + (last,))) == value
+            )
+            order.append(last)
+            mask ^= 1 << last
+        return tuple(reversed(order))
 
 
 # ---------------------------------------------------------------------------
@@ -408,101 +416,50 @@ def _relabel(family: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sweep_arrays(problem, budget, family, n_padded, cover, s, stats):
-    """Value and witness of the sweep on the array kernel.
-
-    Tuples run in batches that keep two layers; the winner is re-run
-    keeping every layer for its witness.  A lone tuple runs once, keeping
-    every layer, and that run gives both.
-    """
-    n = problem.n
-    dp = ArrayDP(problem.arrays, n, family, n_padded, problem.degree, budget)
-    tuples = len(cover) ** s
-    keep_all = tuples == 1
-    batch = dp.batch_size(tuples, budget, keep_all)
-    stats.batch_resident_entries = batch * dp.entries(keep_all)
-    best_value, best_tuple = ARRAY_INF, 0
-    for lo in range(0, tuples, batch):
-        run = dp.run(_tuple_labels(cover, s, lo, min(lo + batch, tuples)), keep_all)
-        stats.total_dp_updates += int(run.updates.sum())
-        stats.sweep_peak_entries = max(stats.sweep_peak_entries, run.peak())
-        row = int(np.argmin(run.values))
-        if run.values[row] < best_value:
-            best_value, best_tuple = int(run.values[row]), lo + row
-    if best_value >= ARRAY_INF:
-        return INF, None
-    inv = _tuple_labels(cover, s, best_tuple, best_tuple + 1)
-    if not keep_all:
-        dp.batch_size(1, budget, keep_all=True)
-        run = dp.run(inv, keep_all=True)
-        stats.total_dp_updates += int(run.updates[0])
-        stats.witness_peak_entries = run.peak()
-    return best_value, dp.walk(run, inv[0])[:n]
-
-
-def _sweep_callback(problem, budget, family, n_padded, cover, s, stats):
-    """Value and witness of the sweep on the callback DP, one tuple at a time.
-
-    The sweep keeps no parent pointers and the winner is re-run with
-    them; a lone tuple runs once with them.
-    """
-    sr = problem.semiring
-    padded_cost = _padded_cost_fn(problem, n_padded)
-    full_mask = (1 << n_padded) - 1
-    pop = np.bitwise_count(family)
-    tuples = len(cover) ** s
-    keep_all = tuples == 1
-    sweep, rerun = SolveStats(), SolveStats()
-
-    def run_tuple(t, run_stats, want_parents):
-        masks = _relabel(family, _tuple_labels(cover, s, t, t + 1)[0])
-        masks_by_popcount = [masks[pop == k].tolist() for k in range(n_padded + 1)]
-        return _subset_dp(
-            n_padded,
-            problem.degree,
-            sr,
-            padded_cost,
-            masks_by_popcount,
-            budget,
-            run_stats,
-            want_parents=want_parents,
-        )
-
-    best_value = sr.zero
-    best_tuple = None
-    for t in range(tuples):
-        table, parents = run_tuple(t, sweep, want_parents=keep_all)
-        value, key = _final_value(table, full_mask, sr)
-        merged = sr.add(best_value, value)
-        if best_tuple is None or (merged == value and merged != best_value):
-            best_tuple = t
-        best_value = merged
-
-    witness = None
-    if best_value != sr.zero:
-        if not keep_all:
-            table, parents = run_tuple(best_tuple, rerun, want_parents=True)
-            _, key = _final_value(table, full_mask, sr)
-        if key is not None:
-            witness = _reconstruct(parents, full_mask, key)[: problem.n]
-    stats.total_dp_updates += sweep.total_dp_updates + rerun.total_dp_updates
-    stats.sweep_peak_entries = sweep.peak_resident_entries
-    stats.witness_peak_entries = rerun.peak_resident_entries
-    stats.batch_resident_entries = max(stats.sweep_peak_entries, stats.witness_peak_entries)
-    return best_value, witness
-
-
 def _solve(problem, budget, family, n_padded, cover, s, t0) -> SolveResult:
     """Sweep the tuples of ``cover``^s over ``family`` on the problem's engine.
 
-    The wall time runs from ``t0``.
+    The array kernel runs problems with an array form, the callback DP any
+    other.  Tuples run in batches that keep two layers, and the first best
+    one is re-run keeping every layer for its witness; a lone tuple runs
+    once, keeping every layer, and that run gives both.  A semiring whose
+    addition is not idempotent has no optimal order, so no witness.  The
+    wall time runs from ``t0``.
     """
-    stats = SolveStats(cover_product_size=len(cover) ** s)
-    sweep = _sweep_arrays if problem.arrays is not None else _sweep_callback
-    value, witness = sweep(problem, budget, family, n_padded, cover, s, stats)
+    sr = problem.semiring
+    tuples = len(cover) ** s
+    stats = SolveStats(cover_product_size=tuples)
+    if problem.arrays is not None:
+        dp = ArrayDP(problem.arrays, problem.n, family, n_padded, problem.degree, budget)
+    else:
+        dp = _CallbackDP(problem, family, n_padded, budget)
+
+    def account(run) -> int:
+        stats.total_dp_updates += int(run.updates.sum())
+        stats.batch_resident_entries = max(stats.batch_resident_entries, dp.held(run))
+        return run.peak()
+
+    keep_all = tuples == 1
+    batch = dp.batch_size(tuples, budget, keep_all)
+    best_value, best_tuple = sr.zero, None
+    for lo in range(0, tuples, batch):
+        run = dp.run(_tuple_labels(cover, s, lo, min(lo + batch, tuples)), keep_all)
+        stats.sweep_peak_entries = max(stats.sweep_peak_entries, account(run))
+        for t, value in enumerate(run.values, lo):
+            merged = sr.add(best_value, value)
+            if merged != best_value:
+                best_value, best_tuple = merged, t
+    witness = None
+    if best_tuple is not None and sr.idempotent:
+        labels = _tuple_labels(cover, s, best_tuple, best_tuple + 1)
+        if not keep_all:
+            dp.batch_size(1, budget, keep_all=True)
+            run = dp.run(labels, keep_all=True)
+            stats.witness_peak_entries = account(run)
+        witness = dp.walk(run, labels[0])[: problem.n]
     stats.peak_resident_entries = max(stats.sweep_peak_entries, stats.witness_peak_entries)
     stats.wall_time = time.monotonic() - t0
-    return SolveResult(value=value, witness=witness, stats=stats)
+    return SolveResult(value=best_value, witness=witness, stats=stats)
 
 
 def solve_chain_tradeoff(problem: PermutationProblem, cfg: SolverConfig) -> SolveResult:
@@ -528,8 +485,6 @@ def solve_chain_tradeoff(problem: PermutationProblem, cfg: SolverConfig) -> Solv
     s = ceil(problem.n / system.n)
     t0 = time.monotonic()
     cover = _build_cover(system, cfg)
-    if not cover.certified:
-        raise ResourceLimit("cover could not be certified")
     if len(system) ** s > cfg.memory_budget:
         raise ResourceLimit(f"|A|^{s} exceeds the memory budget")
     family = product_family(system, s)
@@ -542,7 +497,9 @@ def solve_held_karp(
     """Full subset DP over all 2^N prefix sets; works for any semiring.
 
     It is the chain tradeoff over A = 2^[N], whose cover is the identity
-    alone; with one tuple swept, the semiring need not be idempotent.
+    alone; with one tuple swept, the semiring need not be idempotent.  When
+    it is not, the value sums over orders and no optimal order exists, so
+    the witness is None.
     """
     n = problem.n
     t0 = time.monotonic()

@@ -13,6 +13,7 @@ from chaineff.cover import greedy_cover
 from chaineff.errors import InvalidInstance, ResourceLimit, UnsupportedSemiring
 from chaineff.poset import DEFAULT_MEMORY_BUDGET, make_matching_complement
 from chaineff.semiring import (
+    BOOLEAN,
     INF,
     MIN_PLUS,
     SUM_PRODUCT,
@@ -32,8 +33,8 @@ from chaineff.solver import (
     SolveStats,
     SolverConfig,
     _footprint,
+    _CallbackDP,
     _padded_cost_fn,
-    _subset_dp,
     solve_chain_tradeoff,
     solve_gurevich_shelah,
     solve_held_karp,
@@ -77,6 +78,8 @@ class TestHeldKarp:
         )
         res = solve_held_karp(prob)
         assert res.value == pytest.approx(24 * 16.0)
+        # a sum over orders has no optimal one
+        assert res.witness is None
 
 
 class _TableAccountant:
@@ -353,7 +356,9 @@ class TestStateSpace:
         prob = PermutationProblem(
             n=6, degree=degree, semiring=SUM_PRODUCT, cost_fn=lambda m, w: 1
         )
-        assert solve_held_karp(prob).value == factorial(6)
+        res = solve_held_karp(prob)
+        assert res.value == factorial(6)
+        assert res.witness is None
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 4])
     def test_held_karp_entries(self, degree):
@@ -363,45 +368,174 @@ class TestStateSpace:
         assert solve_held_karp(prob).stats.peak_resident_entries == expect
 
 
+def _subset_dp(n, degree, sr, cost_fn, masks_by_popcount, budget, stats, want_parents):
+    """The callback DP with parent pointers; returns (table, parents).
+
+    The reference for ``_CallbackDP``: ``parents[mask]`` maps each key to
+    the (last, parent key) step that produced its value, moved only on a
+    strict improvement.  Without parent pointers the rows of popcount
+    k - 2 are dropped before layer k is built.
+    """
+    keep = degree - 1
+    zero, add, mul = sr.zero, sr.add, sr.mul
+    table = {0: {(): sr.one}}
+    parents = {}
+    resident = peak = 1
+    updates = 0
+    for k in range(1, n + 1):
+        if not want_parents and k >= 2:
+            for mask in masks_by_popcount[k - 2]:
+                resident -= len(table.pop(mask, ()))
+        for mask in masks_by_popcount[k]:
+            row = {}
+            prow = {}
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                prev_row = table.get(mask ^ bit)
+                if prev_row is None:
+                    continue
+                last = bit.bit_length() - 1
+                for pkey, pvalue in prev_row.items():
+                    window = pkey + (last,)
+                    cand = mul(pvalue, cost_fn(mask, window))
+                    updates += 1
+                    key = window[-keep:] if keep else ()
+                    current = row.get(key)
+                    if current is None:
+                        if cand == zero:
+                            continue
+                        resident += 1
+                        if resident > budget:
+                            raise ResourceLimit("DP table exceeds the memory budget")
+                        row[key] = cand
+                        if want_parents:
+                            prow[key] = (last, pkey)
+                    else:
+                        merged = add(current, cand)
+                        row[key] = merged
+                        if want_parents and merged == cand and merged != current:
+                            prow[key] = (last, pkey)
+            if row:
+                table[mask] = row
+                if want_parents:
+                    parents[mask] = prow
+        peak = max(peak, resident)
+    stats.total_dp_updates += updates
+    stats.peak_resident_entries = max(stats.peak_resident_entries, peak)
+    return table, parents
+
+
+def _final_value(table, full_mask, sr):
+    row = table.get(full_mask)
+    if not row:
+        return sr.zero, None
+    best_val = sr.zero
+    best_key = None
+    for key, value in row.items():
+        merged = sr.add(best_val, value)
+        if best_key is None or (merged == value and merged != best_val):
+            best_key = key
+        best_val = merged
+    return best_val, best_key
+
+
+def _reconstruct(parents, full_mask, key):
+    """Walk parent pointers from (full_mask, key) back to the empty set."""
+    mask = full_mask
+    order = []
+    while mask:
+        last, key = parents[mask][key]
+        order.append(last)
+        mask ^= 1 << last
+    return tuple(reversed(order))
+
+
+def _all_masks(n):
+    masks_by_popcount = [[] for _ in range(n + 1)]
+    for mask in range(1 << n):
+        masks_by_popcount[mask.bit_count()].append(mask)
+    return masks_by_popcount
+
+
+def boolean_problem(rng, n, degree):
+    """A boolean problem that forbids about one window in five."""
+    allowed = {
+        window: rng.random() < 0.8
+        for r in range(1, degree + 1)
+        for window in permutations(range(n), r)
+    }
+    return PermutationProblem(
+        n=n, degree=degree, semiring=BOOLEAN, cost_fn=lambda m, w: allowed[w]
+    )
+
+
+class TestParentPointerOracle:
+    """Walking back by equality finds the step a parent pointer records."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_held_karp_matches(self, seed):
+        rng = random.Random(1000 + seed)
+        n, degree = rng.randint(1, 7), 1 + seed % 4
+        make = table_problem if seed % 3 else boolean_problem
+        prob = make(rng, n, degree)
+        ref = SolveStats()
+        table, parents = _subset_dp(
+            n, degree, prob.semiring, prob.cost_fn, _all_masks(n), 1 << 20, ref, want_parents=True
+        )
+        value, key = _final_value(table, (1 << n) - 1, prob.semiring)
+        res = solve_held_karp(prob)
+        assert prob.arrays is None
+        assert res.value == value
+        if value == prob.semiring.zero:
+            assert res.witness is None
+        else:
+            assert res.witness == _reconstruct(parents, (1 << n) - 1, key)
+        assert res.stats.total_dp_updates == ref.total_dp_updates
+        assert res.stats.sweep_peak_entries == ref.peak_resident_entries
+        assert res.stats.peak_resident_entries == ref.peak_resident_entries
+        assert res.stats.witness_peak_entries == 0
+
+
 class TestLiveLayers:
-    """Without parent pointers the DP keeps only the two layers in use."""
+    """A run that keeps no layer for the witness holds only the two in use."""
+
+    def dp(self, prob, budget):
+        return _CallbackDP(prob, np.arange(1 << prob.n, dtype=np.uint64), prob.n, budget)
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_peak_is_two_largest_consecutive_layers(self, degree):
         n = 7
         prob = table_problem(random.Random(300 + degree), n, degree)
-        masks_by_popcount = [[] for _ in range(n + 1)]
-        for mask in range(1 << n):
-            masks_by_popcount[mask.bit_count()].append(mask)
-        args = (n, degree, MIN_PLUS, prob.cost_fn, masks_by_popcount, 1 << 20)
-        full_stats, lean_stats = SolveStats(), SolveStats()
-        full, _ = _subset_dp(*args, full_stats, want_parents=True)
-        lean, _ = _subset_dp(*args, lean_stats, want_parents=False)
+        dp = self.dp(prob, 1 << 20)
+        identity = np.arange(n)[None]
+        full, lean = dp.run(identity, keep_all=True), dp.run(identity)
         layers = [0] * (n + 1)
-        for mask, row in full.items():
+        for mask, row in full.kept.items():
             layers[mask.bit_count()] += len(row)
-        assert full_stats.peak_resident_entries == sum(layers)
-        assert lean_stats.peak_resident_entries == max(
-            layers[k - 1] + layers[k] for k in range(1, n + 1)
-        )
-        assert lean[(1 << n) - 1] == full[(1 << n) - 1]
-        assert all(mask.bit_count() >= n - 1 for mask in lean)
-        assert lean_stats.total_dp_updates == full_stats.total_dp_updates
+        assert full.peak() == sum(layers)
+        assert lean.peak() == max(layers[k - 1] + layers[k] for k in range(1, n + 1))
+        assert lean.live.tolist() == full.live.tolist() == [layers]
+        assert lean.values[0] == full.values[0]
+        assert not lean.kept
+        assert lean.updates[0] == full.updates[0]
+        # the parent-pointer DP's peaks, with and without its pointers
+        args = (n, degree, MIN_PLUS, prob.cost_fn, _all_masks(n), 1 << 20)
+        full_stats, lean_stats = SolveStats(), SolveStats()
+        _subset_dp(*args, full_stats, want_parents=True)
+        _subset_dp(*args, lean_stats, want_parents=False)
+        assert full.peak() == full_stats.peak_resident_entries
+        assert lean.peak() == lean_stats.peak_resident_entries
 
     def test_budget_counts_live_entries(self):
         n = 7
-        masks_by_popcount = [[] for _ in range(n + 1)]
-        for mask in range(1 << n):
-            masks_by_popcount[mask.bit_count()].append(mask)
+        prob = PermutationProblem(n=n, degree=1, semiring=MIN_PLUS, cost_fn=lambda m, w: 1)
+        identity = np.arange(n)[None]
         two_layers = max(comb(n, k - 1) + comb(n, k) for k in range(1, n + 1))
-        for budget in (two_layers, two_layers - 1):
-            args = (n, 1, MIN_PLUS, lambda m, w: 1, masks_by_popcount, budget, SolveStats())
-            if budget < two_layers:
-                with pytest.raises(ResourceLimit):
-                    _subset_dp(*args, want_parents=False)
-            else:
-                table, _ = _subset_dp(*args, want_parents=False)
-                assert table[(1 << n) - 1] == {(): n}
+        assert self.dp(prob, two_layers).run(identity).values[0] == n
+        with pytest.raises(ResourceLimit):
+            self.dp(prob, two_layers - 1).run(identity)
 
 
 class TestWallTime:
@@ -536,6 +670,12 @@ class TestArrayKernel:
                 dp.batch_size(36, fits - 1, keep_all)
         res = solve_chain_tradeoff(prob, SolverConfig(set_system=system))
         assert res.stats.batch_resident_entries == 36 * dp.entries(False)
+        # a budget that fits the witness re-run but a batch of fewer tables
+        budget = dp.plan_entries + dp.entries(True)
+        batch = dp.batch_size(36, budget, False)
+        assert batch * dp.entries(False) < dp.entries(True)
+        res = solve_chain_tradeoff(prob, SolverConfig(set_system=system, memory_budget=budget))
+        assert res.stats.batch_resident_entries == dp.entries(True)
         # the plan alone passes this budget: no array of it is kept
         with pytest.raises(ResourceLimit):
             solve_chain_tradeoff(
