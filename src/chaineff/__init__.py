@@ -36,7 +36,6 @@ from .setsystem import (
 from .cover import PermutationCover, greedy_cover, randomized_cover, verify_cover
 from .solver import (
     SolveResult,
-    SolverConfig,
     solve_chain_tradeoff,
     solve_gurevich_shelah,
     solve_held_karp,

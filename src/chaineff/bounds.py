@@ -4,8 +4,7 @@ Closed-form and numeric evaluation of the general upper bounds for
 posets (the basic 1/3 bound and the improved 1/3.015 bound) and the
 two-sided bounds for regular bipartite posets.  Every reported value
 is evaluated in 128-bit big floats; factorials and binomials are
-computed exactly before conversion.  Only the pre-scan grid of the
-regular-bipartite limit is ranked in float64 first.
+computed exactly before conversion.
 """
 
 from __future__ import annotations
@@ -14,17 +13,12 @@ from dataclasses import dataclass, field
 from math import comb, factorial
 
 import mpmath
-import numpy as np
 
 from .errors import InvalidDegree, InvalidSize
 from .poset import MAX_ELEMENTS
 
 BOUND_PRECISION_BITS = 128
 GOLDEN_TOLERANCE = 1e-9
-_PRESCAN_POINTS = 10_000
-#: Float64 exponents this close to the grid's float maximum are ranked
-#: again at full precision; the float error is about 1e-15.
-_RERANK_WINDOW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -186,66 +180,36 @@ def _limit_objective(q, d):
     return mpmath.power(2, binary_entropy(q) + mpmath.power(q, d))
 
 
-def _prescan_bracket(d: int):
-    """Grid neighbours (lo, hi) of the first grid point maximising the limit
-    objective; call under ``mpmath.workprec(BOUND_PRECISION_BITS)``.
-
-    The grid is q = eps + i * step for i = 0.._PRESCAN_POINTS.  Its exponent
-    h(q) + q^d is scanned in float64, whose error here is near 1e-15, and
-    2^x is increasing, so only the points within _RERANK_WINDOW of the
-    float maximum can hold the exact one.  Those few are ranked again by
-    the objective at full precision, the first strict maximum winning, which
-    is the point a full-precision scan of the whole grid picks.
-    """
-    eps = mpmath.mpf("1e-9")
-    step = (1 - 2 * eps) / _PRESCAN_POINTS
-    q = float(eps) + np.arange(_PRESCAN_POINTS + 1) * float(step)
-    exponent = q**d - (q * np.log2(q) + (1 - q) * np.log2(1 - q))
-    best_i, best_v = 0, mpmath.mpf(-1)
-    for i in np.flatnonzero(exponent >= exponent.max() - _RERANK_WINDOW).tolist():
-        v = _limit_objective(eps + i * step, d)
-        if v > best_v:
-            best_i, best_v = i, v
-    return eps + max(0, best_i - 1) * step, eps + min(_PRESCAN_POINTS, best_i + 1) * step
-
-
 def regular_bipartite_efficiency_limit(d: int) -> BoundReport:
     """max over q of 2^{h(q) + q^d} times C(2d, d)^{1/(2d)}.
 
-    The exponent can have two local maxima, one inside (0, 1) and one
-    near q = 1, so golden-section search runs on two brackets and the
-    larger printed value wins.  One is the bracket a grid pre-scan picks
-    (``_prescan_bracket``: float64 over the grid, made exact by a
-    full-precision re-rank).  The grid's maximum lies near q = 1 up to
-    d = 14 and near q = 1/2 from d = 15 on (at the grid's last point for
-    d = 29, 30), because from d = 15 the peak near 1 sits at 1 - q ~ 2^-d,
-    inside one grid step.  So the other bracket is 1 - q in
-    [2^-d / 8, 8 * 2^-d], searched to a tolerance scaled by 2^-d.  It
-    holds the maximum for every d >= 15; below, it finds the pre-scan's
-    maximum again, and the printed value does not change.  A
-    d-regular bipartite poset has at least 2d elements, so d is capped at
+    The exponent h(q) + q^d can have two local maxima.  One lies inside
+    (0, 1), near q = 1/2 once d is large, and reaches only about
+    1 + 2^-d.  The other lies at 1 - q ~ 2^-d, where h(q) ~ (1 - q)
+    log2(e / (1 - q)) and q^d ~ 1 - d(1 - q) lift the exponent to about
+    1 + 2^-d log2 e, so it is the global maximum; the tests confirm this
+    for every admissible d by independent scans off the bracket.  One
+    golden-section search therefore runs over 1 - q in
+    [2^-d / 8, 8 * 2^-d], clamped at q >= 0 (for d <= 3 the bracket
+    starts at 0, and the exponent is concave), to a tolerance scaled by
+    2^-d.
+    A d-regular bipartite poset has at least 2d elements, so d is capped at
     MAX_ELEMENTS // 2.
     """
     if not 1 <= d <= MAX_ELEMENTS // 2:
         raise InvalidDegree(f"degree must satisfy 1 <= d <= {MAX_ELEMENTS // 2}")
     with mpmath.workprec(BOUND_PRECISION_BITS):
         root = mpmath.power(comb(2 * d, d), mpmath.mpf(1) / (2 * d))
-        # The peak near q = 1 sits at 1 - q ~ 2^-d; its bracket and tolerance
-        # scale with it.
         gap = mpmath.mpf(2) ** -d
-        brackets = [
-            (*_prescan_bracket(d), GOLDEN_TOLERANCE),
-            (max(0, 1 - 8 * gap), 1 - gap / 8, GOLDEN_TOLERANCE * gap),
-        ]
-        found = []
-        for lo, hi, tol in brackets:
-            q, peak = _golden_section_max(lambda q: _limit_objective(q, d), lo, hi, tol)
-            found.append((_fmt(peak * root), _fmt(q)))
-        # max keeps the pre-scan's result unless the other raises the printed value
-        value, q_star = max(found, key=lambda vq: mpmath.mpf(vq[0]))
+        q, peak = _golden_section_max(
+            lambda q: _limit_objective(q, d),
+            max(0, 1 - 8 * gap),
+            1 - gap / 8,
+            GOLDEN_TOLERANCE * gap,
+        )
         return BoundReport(
             name="regular-bipartite-limit",
             parameters={"d": d},
-            value=value,
-            auxiliaries={"q": q_star},
+            value=_fmt(peak * root),
+            auxiliaries={"q": _fmt(q)},
         )

@@ -46,12 +46,7 @@ from .setsystem import (
     setsystem_from_text,
     tower_of_cubes,
 )
-from .solver import (
-    SolverConfig,
-    solve_chain_tradeoff,
-    solve_gurevich_shelah,
-    solve_held_karp,
-)
+from .solver import solve_chain_tradeoff, solve_gurevich_shelah, solve_held_karp
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -124,16 +119,15 @@ def _load_setsystem(args):
 
 
 def _parse_tsp_matrix(text: str) -> TspInstance:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ChainEffError("empty matrix file")
+    if len(lines[0]) != 1:
+        raise ChainEffError("the matrix header must be the city count alone")
     try:
-        n = int(lines[0].split()[0])
-        rows = []
-        for ln in lines[1 : n + 1]:
-            row = [INF if tok == "inf" else int(tok) for tok in ln.split()]
-            rows.append(row)
-    except (ValueError, IndexError) as exc:
+        n = int(lines[0][0])
+        rows = [[INF if tok == "inf" else int(tok) for tok in ln] for ln in lines[1:]]
+    except ValueError as exc:
         raise ChainEffError(f"malformed matrix file: {exc}") from exc
     if len(rows) != n:
         raise ChainEffError(f"expected {n} matrix rows, found {len(rows)}")
@@ -141,13 +135,15 @@ def _parse_tsp_matrix(text: str) -> TspInstance:
 
 
 def _parse_dfas_graph(text: str) -> DfasInstance:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ChainEffError("empty graph file")
+    if len(lines[0]) != 2:
+        raise ChainEffError("the graph header must be the vertex and arc counts alone")
     try:
-        n, m = (int(x) for x in lines[0].split()[:2])
-        arcs = [tuple(int(x) for x in ln.split()) for ln in lines[1 : m + 1]]
-    except (ValueError, IndexError) as exc:
+        n, m = (int(x) for x in lines[0])
+        arcs = [tuple(int(x) for x in ln) for ln in lines[1:]]
+    except ValueError as exc:
         raise ChainEffError(f"malformed graph file: {exc}") from exc
     if len(arcs) != m:
         raise ChainEffError(f"expected {m} arcs, found {len(arcs)}")
@@ -268,15 +264,9 @@ def _solve_common(problem, args, inst=None) -> int:
     elif args.algo == "gs":
         result = solve_gurevich_shelah(inst, args.memory_budget)
     else:
-        a = _load_setsystem(args)
-        cfg = SolverConfig(
-            set_system=a,
-            g=args.g,
-            cover_strategy=args.strategy,
-            seed=args.seed,
-            memory_budget=args.memory_budget,
+        result = solve_chain_tradeoff(
+            problem, _load_setsystem(args), args.g, args.strategy, args.seed, args.memory_budget
         )
-        result = solve_chain_tradeoff(problem, cfg)
     _emit(
         {
             "command": "solve",

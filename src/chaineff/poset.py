@@ -655,11 +655,11 @@ def poset_from_text(text: str) -> Poset:
         raise InvalidInstance("empty poset file")
     try:
         n, m = map(int, lines[0].split())
-        covers = [tuple(map(int, ln.split())) for ln in lines[1 : m + 1]]
+        covers = [tuple(map(int, ln.split())) for ln in lines[1:]]
     except ValueError as exc:
         raise InvalidInstance(f"malformed poset file: {exc}") from exc
     if len(covers) != m:
-        raise InvalidInstance("poset file truncated")
+        raise InvalidInstance(f"expected {m} cover lines, found {len(covers)}")
     for cover in covers:
         if len(cover) != 2:
             raise InvalidInstance(f"cover line needs two integers, got {len(cover)}")

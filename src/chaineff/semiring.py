@@ -14,7 +14,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInstance, InvalidPermutation
+from .errors import InvalidInstance, InvalidPermutation, InvalidSize
+from .poset import MAX_ELEMENTS
 
 INF = float("inf")
 
@@ -133,6 +134,9 @@ class TspInstance:
         n = len(rows)
         if n < 2:
             raise InvalidInstance("TSP needs at least 2 cities")
+        if n > MAX_ELEMENTS + 1:
+            # city 0 anchors the tour; the others are the DP's elements
+            raise InvalidSize(f"TSP takes at most {MAX_ELEMENTS + 1} cities, got {n}")
         for row in rows:
             if len(row) != n:
                 raise InvalidInstance("weight matrix must be square")
@@ -153,6 +157,8 @@ class DfasInstance:
     def from_arcs(cls, n: int, arcs) -> "DfasInstance":
         if n < 1:
             raise InvalidInstance("DFAS needs at least one vertex")
+        if n > MAX_ELEMENTS:
+            raise InvalidSize(f"DFAS takes at most {MAX_ELEMENTS} vertices, got {n}")
         arcs = tuple((int(u), int(v)) for u, v in arcs)
         for u, v in arcs:
             if u == v:

@@ -25,10 +25,11 @@ from .cover import PermutationCover, greedy_cover, randomized_cover
 from .errors import (
     InvalidInstance,
     InvalidSetSystem,
+    InvalidSize,
     ResourceLimit,
     UnsupportedSemiring,
 )
-from .poset import DEFAULT_MEMORY_BUDGET
+from .poset import DEFAULT_MEMORY_BUDGET, MAX_ELEMENTS
 from .semiring import (
     ARRAY_INF,
     INF,
@@ -71,15 +72,6 @@ class SolveResult:
     value: object
     witness: tuple | None
     stats: SolveStats
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    set_system: SetSystem | None = None
-    g: int = 1
-    cover_strategy: str = "greedy"  # or "random"
-    seed: int = 0
-    memory_budget: int = DEFAULT_MEMORY_BUDGET
 
 
 # ---------------------------------------------------------------------------
@@ -386,12 +378,12 @@ def _padded_cost_fn(problem: PermutationProblem, n_padded: int):
     return padded
 
 
-def _build_cover(system: SetSystem, cfg: SolverConfig) -> PermutationCover:
-    if cfg.cover_strategy == "greedy":
+def _build_cover(system: SetSystem, strategy: str, seed: int) -> PermutationCover:
+    if strategy == "greedy":
         return greedy_cover(system)
-    if cfg.cover_strategy == "random":
-        return randomized_cover(system, cfg.seed)
-    raise InvalidInstance(f"unknown cover strategy {cfg.cover_strategy!r}")
+    if strategy == "random":
+        return randomized_cover(system, seed)
+    raise InvalidInstance(f"unknown cover strategy {strategy!r}")
 
 
 def _tuple_labels(cover: PermutationCover, s: int, lo: int, hi: int) -> np.ndarray:
@@ -462,11 +454,19 @@ def _solve(problem, budget, family, n_padded, cover, s, t0) -> SolveResult:
     return SolveResult(value=best_value, witness=witness, stats=stats)
 
 
-def solve_chain_tradeoff(problem: PermutationProblem, cfg: SolverConfig) -> SolveResult:
+def solve_chain_tradeoff(
+    problem: PermutationProblem,
+    system: SetSystem,
+    g: int = 1,
+    strategy: str = "greedy",
+    seed: int = 0,
+    memory_budget: int = DEFAULT_MEMORY_BUDGET,
+) -> SolveResult:
     """Sweep cover tuples, running the restricted subset DP for each.
 
     The instance is padded to a multiple of the group size, one certified
-    cover is built for the g-th power of the system and shared by all
+    cover (``strategy`` "greedy" or "random", the latter drawn from
+    ``seed``) is built for the g-th power of ``system`` and shared by all
     groups through the group bijections, and the per-tuple results are
     combined with the idempotent addition.  Every tuple's admissible
     masks are A^s relabelled, so a problem with an array form sweeps
@@ -476,19 +476,21 @@ def solve_chain_tradeoff(problem: PermutationProblem, cfg: SolverConfig) -> Solv
     sr = problem.semiring
     if not sr.idempotent:
         raise UnsupportedSemiring("chain-tradeoff requires idempotent addition")
-    base = cfg.set_system
-    if base is None:
-        raise InvalidSetSystem("chain-tradeoff needs a set system")
-    if not base.admits_chains():
+    if not system.admits_chains():
         raise InvalidSetSystem("set system must contain the empty and full set")
-    system = cartesian_power(base, cfg.g)
+    system = cartesian_power(system, g)
     s = ceil(problem.n / system.n)
+    if s * system.n > MAX_ELEMENTS:
+        raise InvalidSize(
+            f"padding {problem.n} elements to groups of {system.n} gives"
+            f" {s * system.n}, over {MAX_ELEMENTS}"
+        )
     t0 = time.monotonic()
-    cover = _build_cover(system, cfg)
-    if len(system) ** s > cfg.memory_budget:
+    cover = _build_cover(system, strategy, seed)
+    if len(system) ** s > memory_budget:
         raise ResourceLimit(f"|A|^{s} exceeds the memory budget")
     family = product_family(system, s)
-    return _solve(problem, cfg.memory_budget, family, system.n * s, cover, s, t0)
+    return _solve(problem, memory_budget, family, system.n * s, cover, s, t0)
 
 
 def solve_held_karp(

@@ -47,7 +47,6 @@ from chaineff.setsystem import (
     tower_of_cubes,
 )
 from chaineff.solver import (
-    SolverConfig,
     solve_chain_tradeoff,
     solve_gurevich_shelah,
     solve_held_karp,
@@ -158,7 +157,7 @@ def test_criterion_06_solver_equivalence():
         ref = brute_force_optimum(prob)
         values = {solve_held_karp(prob).value, solve_gurevich_shelah(inst).value}
         for a in systems:
-            values.add(solve_chain_tradeoff(prob, SolverConfig(set_system=a, g=1)).value)
+            values.add(solve_chain_tradeoff(prob, a, g=1).value)
         if values != {ref}:
             mismatches += 1
     for _ in range(100):
@@ -171,7 +170,7 @@ def test_criterion_06_solver_equivalence():
         ref = brute_force_optimum(prob)
         values = {solve_held_karp(prob).value}
         for a in systems:
-            values.add(solve_chain_tradeoff(prob, SolverConfig(set_system=a, g=1)).value)
+            values.add(solve_chain_tradeoff(prob, a, g=1).value)
         if values != {ref}:
             mismatches += 1
     verdict(6, [("zero_mismatches", mismatches == 0)])
@@ -280,7 +279,7 @@ def test_criterion_10_space_accounting():
         prob = tsp_as_permutation_problem(TspInstance.from_matrix(w))
         for t, k in [(2, 2), (3, 2)]:
             a = tower_of_cubes(t, k)
-            res = solve_chain_tradeoff(prob, SolverConfig(set_system=a, g=1))
+            res = solve_chain_tradeoff(prob, a, g=1)
             s = ceil(prob.n / a.n)
             n_padded = a.n * s
             limit = len(a.members) ** s * n_padded**prob.degree

@@ -8,9 +8,8 @@ import pytest
 
 from chaineff.bounds import (
     BOUND_PRECISION_BITS,
-    _PRESCAN_POINTS,
+    GOLDEN_TOLERANCE,
     _limit_objective,
-    _prescan_bracket,
     basic_upper_bound,
     binary_entropy,
     improved_upper_bound,
@@ -21,55 +20,55 @@ from chaineff.bounds import (
 from chaineff.errors import InvalidDegree, InvalidSize
 from chaineff.poset import make_circulant, make_matching_complement, poset_efficiency
 
-#: (value, q) of regular_bipartite_efficiency_limit(d): for d <= 14 as the
-#: full-precision grid scan printed them; for d = 15, 16 at the peak near
-#: q = 1, whose value near_one_scan confirms.
+#: (value, q) of regular_bipartite_efficiency_limit(d).  The values are
+#: those the earlier two-bracket search printed; near_one_scan confirms them
+#: and q for every d.
 LIMITS = {
-    1: ("4.24264068711929", "0.666666666795546"),
-    2: ("4.05770506102945", "0.734675821460285"),
-    3: ("3.87726927113975", "0.779793133058412"),
-    4: ("3.72812029690780", "0.829780747021406"),
-    5: ("3.62843089489157", "0.931355183871067"),
-    6: ("3.60177570064083", "0.975036489971263"),
-    7: ("3.60945869594015", "0.989622003103360"),
-    8: ("3.62845731241362", "0.995355342118341"),
-    9: ("3.65007291167038", "0.997829976977968"),
-    10: ("3.67111119534160", "0.998959298668942"),
-    11: ("3.69049791232872", "0.999492767014783"),
-    12: ("3.70798991338761", "0.999750286582391"),
-    13: ("3.72366174038119", "0.999876302405497"),
-    14: ("3.73769530331205", "0.999938493397227"),
+    1: ("4.24264068711929", "0.666666666774467"),
+    2: ("4.05770506102945", "0.734675821318143"),
+    3: ("3.87726927113975", "0.779793132909598"),
+    4: ("3.72812029690780", "0.829780746939684"),
+    5: ("3.62843089489157", "0.931355183868872"),
+    6: ("3.60177570064083", "0.975036489807048"),
+    7: ("3.60945869594015", "0.989622003035814"),
+    8: ("3.62845731241362", "0.995355341944972"),
+    9: ("3.65007291167038", "0.997829977013176"),
+    10: ("3.67111119534160", "0.998959298545497"),
+    11: ("3.69049791232872", "0.999492766909152"),
+    12: ("3.70798991338761", "0.999750286621663"),
+    13: ("3.72366174038119", "0.999876302390969"),
+    14: ("3.73769530331205", "0.999938493375095"),
     15: ("3.75029393076913", "0.999969346918441"),
     16: ("3.76164903735022", "0.999984702568963"),
 }
 
 
-def full_scan_bracket(d):
-    """Oracle: the pre-scan bracket from the objective at full precision on
-    every grid point, the first strict maximum winning."""
-    eps = mpmath.mpf("1e-9")
-    step = (1 - 2 * eps) / _PRESCAN_POINTS
-    best_i, best_v = 0, mpmath.mpf(-1)
-    for i in range(_PRESCAN_POINTS + 1):
-        v = _limit_objective(eps + i * step, d)
-        if v > best_v:
-            best_i, best_v = i, v
-    return eps + max(0, best_i - 1) * step, eps + min(_PRESCAN_POINTS, best_i + 1) * step
-
-
-def near_one_scan(d, points=64, rounds=12):
-    """Oracle: (printed value, q) of the limit's peak near q = 1, by scanning
-    1 - q over a grid on [2^-d / 8, 8 * 2^-d] at full precision and narrowing
-    to the best point's neighbours, each round 32 times finer."""
+def scan_max(d, lo, hi, points=64, rounds=12):
+    """Oracle: (q, objective) of the limit objective's maximum on [lo, hi],
+    by scanning a grid at full precision and narrowing to the best point's
+    neighbours, each round 32 times finer."""
     with mpmath.workprec(BOUND_PRECISION_BITS):
-        lo, hi = mpmath.mpf(2) ** -d / 8, 8 * mpmath.mpf(2) ** -d
+        lo, hi = mpmath.mpf(lo), mpmath.mpf(hi)
         for _ in range(rounds):
             step = (hi - lo) / points
-            best = max(range(points + 1), key=lambda i: _limit_objective(1 - lo - i * step, d))
+            best = max(range(points + 1), key=lambda i: _limit_objective(lo + i * step, d))
             lo, hi = lo + max(0, best - 1) * step, lo + min(points, best + 1) * step
-        q = 1 - (lo + hi) / 2
-        root = mpmath.power(comb(2 * d, d), mpmath.mpf(1) / (2 * d))
-        return mpmath.nstr(_limit_objective(q, d) * root, 15, strip_zeros=False), q
+        q = (lo + hi) / 2
+        return q, _limit_objective(q, d)
+
+
+def limit_root(d):
+    with mpmath.workprec(BOUND_PRECISION_BITS):
+        return mpmath.power(comb(2 * d, d), mpmath.mpf(1) / (2 * d))
+
+
+def near_one_scan(d):
+    """Oracle: (printed value, q) of the limit's peak near q = 1, scanning
+    the q with 1 - q in [2^-d / 8, 8 * 2^-d], clamped at q >= 0."""
+    with mpmath.workprec(BOUND_PRECISION_BITS):
+        gap = mpmath.mpf(2) ** -d
+        q, peak = scan_max(d, max(0, 1 - 8 * gap), 1 - gap / 8)
+        return mpmath.nstr(peak * limit_root(d), 15, strip_zeros=False), q
 
 
 class TestEntropy:
@@ -183,21 +182,25 @@ class TestEfficiencyLimit:
         report = regular_bipartite_efficiency_limit(d)
         assert (report.value, report.auxiliaries["q"]) == LIMITS[d]
 
-    @pytest.mark.parametrize("d", [15, 16, 20, 24, 29, 32])
+    @pytest.mark.parametrize("d", range(1, 33))
     def test_peak_near_one_matches_scan(self, d):
-        # from d = 15 the maximum is the peak at 1 - q ~ 2^-d, which the
-        # pre-scan grid is too coarse to see
         value, q = near_one_scan(d)
         report = regular_bipartite_efficiency_limit(d)
         assert report.value == value
-        # half the search tolerance 1e-9 * 2^-d, plus the printed digits
-        assert abs(mpmath.mpf(report.auxiliaries["q"]) - q) < 2e-14
+        # half the search tolerance, plus the printed digits
+        tol = GOLDEN_TOLERANCE * 2.0**-d / 2 + 5e-16
+        assert abs(mpmath.mpf(report.auxiliaries["q"]) - q) < tol
 
-    @pytest.mark.parametrize("d", [14, 15])
-    def test_bracket_matches_full_scan(self, d):
-        # the grid's maximum moves from near q = 1 to near q = 1/2 here
+    @pytest.mark.parametrize("d", range(4, 33))
+    def test_no_higher_peak_off_the_bracket(self, d):
+        # the search brackets only the peak near q = 1; the interior peak,
+        # near q = 1/2 for large d, and the rest of (0, 1) stay below it
+        report = regular_bipartite_efficiency_limit(d)
         with mpmath.workprec(BOUND_PRECISION_BITS):
-            assert _prescan_bracket(d) == full_scan_bracket(d)
+            gap = mpmath.mpf(2) ** -d
+            for lo, hi in ((0, 1 - 8 * gap), (1 - gap / 8, 1)):
+                _, peak = scan_max(d, lo, hi, rounds=6)
+                assert peak * limit_root(d) < mpmath.mpf(report.value)
 
     def test_degree_range(self):
         regular_bipartite_efficiency_limit(32)

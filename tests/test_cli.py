@@ -208,6 +208,49 @@ class TestSolve:
         f.write_text(FOUR_CITY_TEXT)
         assert run(["--memory-budget", "2", "solve", "tsp", "--matrix", str(f), "--algo", "gs"]) == 3
 
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["count", "ideals", "--poset"], "3 2\n0 1\n1 2\n0 2\n"),
+            (["solve", "tsp", "--algo", "gs", "--matrix"], FOUR_CITY_TEXT + "1 2 3 4\n"),
+            (["solve", "tsp", "--algo", "gs", "--matrix"], "4 0\n" + FOUR_CITY_TEXT[2:]),
+            (["solve", "dfas", "--algo", "held-karp", "--graph"], "3 2\n0 1\n1 2\n2 0\n"),
+            (["solve", "dfas", "--algo", "held-karp", "--graph"], "3 3 0\n0 1\n1 2\n2 0\n"),
+        ],
+        ids=["poset-line", "tsp-row", "tsp-header", "dfas-arc", "dfas-header"],
+    )
+    def test_content_past_declared_size_exit_2(self, capsys, tmp_path, command, text):
+        f = tmp_path / "input.txt"
+        f.write_text(text)
+        assert run([*command, str(f)]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            (["dfas", "--graph"], "40000 0\n"),
+            (["dfas", "--graph"], "70 1\n0 69\n"),
+            (["tsp", "--matrix"], "66\n" + ("0 " * 66 + "\n") * 66),
+        ],
+        ids=["dfas-40000", "dfas-70", "tsp-66"],
+    )
+    def test_more_than_64_elements_exit_2(self, capsys, tmp_path, command, text):
+        # every DP mask is a uint64; the instance is refused as it is read
+        f = tmp_path / "input.txt"
+        f.write_text(text)
+        argv = ["--memory-budget", str(10**25), "solve", command[0], command[1], str(f)]
+        assert run([*argv, "--algo", "held-karp"]) == 2
+        assert_one_line_error(capsys)
+
+    def test_tradeoff_padded_past_64_elements_exit_2(self, capsys, tmp_path):
+        # 64 vertices in groups of 3 pad to 66 elements
+        graph, system = tmp_path / "g.txt", tmp_path / "a.txt"
+        graph.write_text("64 0\n")
+        system.write_text("3 4\n-\n0\n0 1\n0 1 2\n")
+        argv = ["solve", "dfas", "--graph", str(graph), "--algo", "tradeoff"]
+        assert run([*argv, "--setsystem", str(system)]) == 2
+        assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("budget", ["-1", "0"])
     @pytest.mark.parametrize(
         "command",

@@ -31,7 +31,6 @@ from chaineff.arraydp import SCRATCH_ENTRIES, ArrayDP, build_plan
 from chaineff.setsystem import from_poset_ideals, full_power_set, product_family, tower_of_cubes
 from chaineff.solver import (
     SolveStats,
-    SolverConfig,
     _footprint,
     _CallbackDP,
     _padded_cost_fn,
@@ -248,7 +247,7 @@ class TestChainTradeoff:
         prob = tsp_as_permutation_problem(inst)
         ref = brute_force_optimum(prob)
         for a in self.systems():
-            res = solve_chain_tradeoff(prob, SolverConfig(set_system=a, g=1))
+            res = solve_chain_tradeoff(prob, a, g=1)
             assert res.value == ref
             assert evaluate_permutation(prob, res.witness) == ref
 
@@ -259,7 +258,7 @@ class TestChainTradeoff:
         prob = dfas_as_permutation_problem(inst)
         ref = brute_force_optimum(prob)
         for a in self.systems():
-            res = solve_chain_tradeoff(prob, SolverConfig(set_system=a, g=1))
+            res = solve_chain_tradeoff(prob, a, g=1)
             assert res.value == ref
 
     def test_g2_matches(self):
@@ -267,7 +266,7 @@ class TestChainTradeoff:
         inst = random_tsp(rng, 7)
         prob = tsp_as_permutation_problem(inst)
         a = full_power_set(3)
-        res = solve_chain_tradeoff(prob, SolverConfig(set_system=a, g=2))
+        res = solve_chain_tradeoff(prob, a, g=2)
         assert res.value == brute_force_optimum(prob)
 
     def test_randomized_cover_strategy(self):
@@ -276,7 +275,9 @@ class TestChainTradeoff:
         prob = tsp_as_permutation_problem(inst)
         res = solve_chain_tradeoff(
             prob,
-            SolverConfig(set_system=tower_of_cubes(2, 2), cover_strategy="random", seed=9),
+            tower_of_cubes(2, 2),
+            strategy="random",
+            seed=9,
         )
         assert res.value == brute_force_optimum(prob)
 
@@ -285,7 +286,7 @@ class TestChainTradeoff:
         inst = random_tsp(rng, 9)
         prob = tsp_as_permutation_problem(inst)
         a = tower_of_cubes(2, 2)
-        res = solve_chain_tradeoff(prob, SolverConfig(set_system=a, g=1))
+        res = solve_chain_tradeoff(prob, a, g=1)
         s = ceil(prob.n / a.n)
         n_padded = a.n * s
         assert res.stats.peak_resident_entries <= len(a.members) ** s * n_padded**prob.degree
@@ -296,7 +297,7 @@ class TestChainTradeoff:
             n=4, degree=1, semiring=SUM_PRODUCT, cost_fn=lambda m, w: 1.0
         )
         with pytest.raises(UnsupportedSemiring):
-            solve_chain_tradeoff(prob, SolverConfig(set_system=full_power_set(2)))
+            solve_chain_tradeoff(prob, full_power_set(2))
 
     def test_rejects_chainless_system(self):
         from chaineff.errors import InvalidSetSystem
@@ -304,9 +305,7 @@ class TestChainTradeoff:
 
         prob = tsp_as_permutation_problem(TspInstance.from_matrix(FOUR_CITY))
         with pytest.raises(InvalidSetSystem):
-            solve_chain_tradeoff(
-                prob, SolverConfig(set_system=SetSystem(3, [0b1, 0b111]))
-            )
+            solve_chain_tradeoff(prob, SetSystem(3, [0b1, 0b111]))
 
     def test_inf_only_tours(self):
         w = [[0, INF, 1], [1, 0, INF], [INF, 1, 0]]
@@ -343,7 +342,7 @@ class TestStateSpace:
         ref = brute_force_optimum(prob)
         results = [solve_held_karp(prob)]
         for a in (full_power_set(3), tower_of_cubes(2, 2)):
-            results.append(solve_chain_tradeoff(prob, SolverConfig(set_system=a, g=1)))
+            results.append(solve_chain_tradeoff(prob, a, g=1))
         for res in results:
             assert res.value == ref
             if ref == INF:
@@ -554,7 +553,7 @@ class TestWallTime:
 
         monkeypatch.setattr(solver_mod, "greedy_cover", slow_greedy)
         prob = tsp_as_permutation_problem(TspInstance.from_matrix(FOUR_CITY))
-        res = solve_chain_tradeoff(prob, SolverConfig(set_system=tower_of_cubes(2, 2), g=1))
+        res = solve_chain_tradeoff(prob, tower_of_cubes(2, 2), g=1)
         assert len(built) == 1
         assert res.stats.wall_time >= built[0]
 
@@ -620,18 +619,17 @@ class TestArrayKernel:
         # 5 or 6 elements over groups of 3 or 4: s = 2, and mostly padded
         rng = random.Random(800 + seed)
         n = rng.randint(5, 6)
-        cfg = SolverConfig(set_system=system, g=g, cover_strategy=strategy, seed=seed)
         for prob in (
             tsp_as_permutation_problem(zero_inf_tsp(rng, n + 1)),
             dfas_as_permutation_problem(parallel_arc_dfas(rng, n)),
         ):
             assert ceil(prob.n / (system.n * g)) == 2
-            self.assert_same(prob, lambda p: solve_chain_tradeoff(p, cfg))
+            self.assert_same(prob, lambda p: solve_chain_tradeoff(p, system, g, strategy, seed))
 
     def test_sweep_and_witness_space_apart(self):
         rng = random.Random(31)
         prob = tsp_as_permutation_problem(random_tsp(rng, 10))
-        res = solve_chain_tradeoff(prob, SolverConfig(set_system=tower_of_cubes(3, 2)))
+        res = solve_chain_tradeoff(prob, tower_of_cubes(3, 2))
         assert res.stats.sweep_peak_entries == 123
         assert res.stats.witness_peak_entries == 376
         assert res.stats.peak_resident_entries == 376
@@ -645,8 +643,7 @@ class TestArrayKernel:
         ref = brute_force_optimum(prob)
         assert ref == 2 * big + 2
         assert solve_held_karp(prob).value == ref
-        cfg = SolverConfig(set_system=tower_of_cubes(2, 2))
-        assert solve_chain_tradeoff(prob, cfg).value == ref
+        assert solve_chain_tradeoff(prob, tower_of_cubes(2, 2)).value == ref
 
     def test_diagonal_is_ignored(self):
         w = [[0 if i == j else (3 * i + j) % 7 for j in range(5)] for i in range(5)]
@@ -668,19 +665,17 @@ class TestArrayKernel:
             assert dp.batch_size(36, fits + dp.entries(keep_all), keep_all) == 2
             with pytest.raises(ResourceLimit):
                 dp.batch_size(36, fits - 1, keep_all)
-        res = solve_chain_tradeoff(prob, SolverConfig(set_system=system))
+        res = solve_chain_tradeoff(prob, system)
         assert res.stats.batch_resident_entries == 36 * dp.entries(False)
         # a budget that fits the witness re-run but a batch of fewer tables
         budget = dp.plan_entries + dp.entries(True)
         batch = dp.batch_size(36, budget, False)
         assert batch * dp.entries(False) < dp.entries(True)
-        res = solve_chain_tradeoff(prob, SolverConfig(set_system=system, memory_budget=budget))
+        res = solve_chain_tradeoff(prob, system, memory_budget=budget)
         assert res.stats.batch_resident_entries == dp.entries(True)
         # the plan alone passes this budget: no array of it is kept
         with pytest.raises(ResourceLimit):
-            solve_chain_tradeoff(
-                prob, SolverConfig(set_system=system, memory_budget=dp.plan_entries - 1)
-            )
+            solve_chain_tradeoff(prob, system, memory_budget=dp.plan_entries - 1)
 
 
 class TestPlanBudget:
@@ -722,7 +717,7 @@ class TestPowerSetIsHeldKarp:
             assert prob.n % k == 0
             held_karp = solve_held_karp(prob)
             for system in (full_power_set(k), tower_of_cubes(k, 1)):
-                res = solve_chain_tradeoff(prob, SolverConfig(set_system=system))
+                res = solve_chain_tradeoff(prob, system)
                 assert res.value == held_karp.value
                 assert res.witness == held_karp.witness
                 assert dataclasses.replace(res.stats, wall_time=0.0) == dataclasses.replace(
