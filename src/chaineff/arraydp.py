@@ -11,9 +11,10 @@ same run and walk contract for every other problem.
 The plan reads no cost.  A run takes a batch of labellings, one row per
 cover tuple: plan element x stands for the problem's element ``inv[x]``.
 The tuples of a cover sweep differ only in this labelling (a chunk c of
-group i is admissible iff pi_i(c) lies in A), so every tuple shares one
-plan over F = A^s, and a batch of tuples runs along axis 0 of each array.
-Held-Karp is one run over F = 2^[n] with the identity labelling.
+group i is admissible iff pi_i(c) lies in A_i), so every tuple shares one
+plan over the product F = A_1 x ... x A_s of the groups' families, and a
+batch of tuples runs along axis 0 of each array.  Held-Karp is one run
+over F = 2^[n] with the identity labelling.
 """
 
 from __future__ import annotations
@@ -51,8 +52,11 @@ def build_plan(family: np.ndarray, n: int, degree: int, budget: int) -> list[_La
     A mask is a state (degree 1) when a chain of members reaches it from
     the empty set; a degree-2 state is a reachable mask and an element
     whose removal leaves a reachable mask, and its predecessors are the
-    states on that smaller mask.  Raises ResourceLimit before a layer is
-    built whose transitions would take those stored past ``budget``.
+    states on that smaller mask.  Each layer's candidates are scanned for
+    edges in blocks of at most SCRATCH_ENTRIES // n masks, and each block's
+    transitions are charged before the next block is scanned, so
+    ResourceLimit is raised once those stored would pass ``budget``,
+    before the layer holding them is built.
     """
     if n > 64:
         raise ResourceLimit("the DP plan holds masks of at most 64 elements")
@@ -62,25 +66,31 @@ def build_plan(family: np.ndarray, n: int, degree: int, budget: int) -> list[_La
     masks = np.zeros(1, dtype=np.uint64)  # reachable masks of the layer below
     below_mask = np.zeros(1, dtype=np.int64)  # degree 2: states' indices into ``masks``
     below_last = np.full(1, n)  # degree 2: states' last elements
+    block = max(1, SCRATCH_ENTRIES // n)  # candidate rows scanned at once
     stored = 0
     layers = []
     for k in range(1, n + 1):
         cand = family[pop == k]
-        rows, elem = np.nonzero((cand[:, None] & bits) != 0)
-        parents = cand[rows] ^ bits[elem]
-        up = np.searchsorted(masks, parents)
-        hit = masks[np.minimum(up, len(masks) - 1)] == parents
-        rows, elem, up = rows[hit], elem[hit], up[hit]  # edges, ordered by child mask
-        if degree == 1:
-            stored += len(up)
-        else:
+        if degree == 2:
             # an edge's transitions leave the states on its parent mask
             first = np.searchsorted(below_mask, np.arange(len(masks) + 1))
+        edges = []
+        for b in range(0, max(len(cand), 1), block):  # an empty layer scans one empty block
+            rows, elem = np.nonzero((cand[b : b + block, None] & bits) != 0)
+            rows += b
+            parents = cand[rows] ^ bits[elem]
+            up = np.searchsorted(masks, parents)
+            hit = masks[np.minimum(up, len(masks) - 1)] == parents
+            up = up[hit]
+            stored += len(up) if degree == 1 else int((first[up + 1] - first[up]).sum())
+            if stored > budget:
+                raise ResourceLimit("DP plan exceeds the memory budget")
+            edges.append((rows[hit], elem[hit], up))
+        # edges, ordered by child mask
+        rows, elem, up = (np.concatenate(part) for part in zip(*edges))
+        if degree == 2:
             lo = first[up]
             counts = first[up + 1] - lo
-            stored += int(counts.sum())
-        if stored > budget:
-            raise ResourceLimit("DP plan exceeds the memory budget")
         reached, starts = np.unique(rows, return_index=True)
         if degree == 1:
             n_below = len(masks)
@@ -127,16 +137,13 @@ class ArrayDP:
     predecessor's sums, so a transition's back cost is one gather.
     """
 
-    def __init__(self, costs: ArrayCosts, n_real: int, family, n: int, degree: int, budget: int):
+    def __init__(self, costs: ArrayCosts, family, n: int, degree: int, budget: int):
         self.n = n
         self.layers = build_plan(family, n, degree, budget)
         self.plan_entries = sum(len(layer.pred) for layer in self.layers)
         self.sizes = [1] + [len(layer.starts) for layer in self.layers]
-        self.step = _step_table(costs, n_real, n)
-        self.back = None
-        if costs.back is not None:
-            self.back = np.zeros((n, n), dtype=np.int64)
-            self.back[:n_real, :n_real] = costs.back
+        self.step = _step_table(costs, n)
+        self.back = costs.back
 
     def entries(self, keep_all: bool) -> int:
         """Dense entries one row holds.
@@ -220,23 +227,18 @@ class ArrayDP:
         return tuple(reversed(order))
 
 
-def _step_table(costs: ArrayCosts, n_real: int, n: int) -> np.ndarray:
+def _step_table(costs: ArrayCosts, n: int) -> np.ndarray:
     """(n + 1, (n + 1) * n): entry [k, p * n + q] costs placing q after p at position k.
 
     Labels are the problem's own; p = n is the root, and for degree 1,
     where no state has a last element, every step reads the root's row.
-    The padding elements n_real..n-1 go last and in order, at no cost:
-    any other placement of them is ARRAY_INF.
     """
     step = np.full((n + 1, n + 1, n), ARRAY_INF, dtype=np.int64)
-    r = n_real
-    step[1, n, :r] = costs.first
+    step[1, n] = costs.first
     if costs.pair is None:
-        step[2 : r + 1, n, :r] = 0
+        step[2:, n] = 0
     else:
-        step[2 : r + 1, :r, :r] = costs.pair
-    step[r, :, :r] += costs.last
+        step[2:, :n] = costs.pair
+    step[n] += costs.last
     np.minimum(step, ARRAY_INF, out=step)
-    for k in range(r + 1, n + 1):
-        step[k, :, k - 1] = 0
     return step.reshape(n + 1, -1)

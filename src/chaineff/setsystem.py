@@ -6,6 +6,7 @@ file output and DP iteration order are deterministic.
 
 from __future__ import annotations
 
+import os
 from typing import Sequence
 
 import numpy as np
@@ -131,18 +132,40 @@ def cartesian_power(
         raise InvalidSize("power needs k >= 1")
     if k * a.n > MAX_ELEMENTS:
         raise InvalidSize(f"universe {k * a.n} exceeds {MAX_ELEMENTS}")
-    if len(a) ** k > memory_budget:
-        raise ResourceLimit(f"|A|^{k} exceeds the memory budget")
-    return SetSystem(k * a.n, product_family(a, k))
+    check_family_size(len(a) ** k, memory_budget, f"|A|^{k}")
+    return SetSystem(k * a.n, product_family([a] * k))
 
 
-def product_family(a: SetSystem, k: int) -> np.ndarray:
-    """The |A|^k uint64 masks of A^k, unsorted: copy r's member shifted by r*n."""
-    members = np.array(a.members, dtype=np.uint64)
+def check_family_size(size: int, memory_budget: int, what: str) -> None:
+    """Refuse a family of ``size`` masks past the budget or past physical memory.
+
+    The uint64 masks alone take 8 bytes each, so a budget far above the
+    machine still stops before numpy is asked for them.
+    """
+    if size > memory_budget:
+        raise ResourceLimit(f"{what}: {size} masks exceed the memory budget")
+    if 8 * size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        raise ResourceLimit(f"{what}: {size} masks take {8 * size} bytes, over physical memory")
+
+
+def product_family(groups: Sequence[SetSystem]) -> np.ndarray:
+    """The uint64 masks of A_1 x ... x A_s, unsorted.
+
+    Group i's member is shifted past the universes of groups 1..i-1, and
+    the last group's member varies fastest.
+    """
     family = np.zeros(1, dtype=np.uint64)
-    for r in range(k):
-        family = (family[:, None] | (members << np.uint64(r * a.n))).ravel()
+    shift = 0
+    for a in groups:
+        members = np.array(a.members, dtype=np.uint64) << np.uint64(shift)
+        family = (family[:, None] | members).ravel()
+        shift += a.n
     return family
+
+
+def restriction(a: SetSystem, r: int) -> SetSystem:
+    """A|[r] = {X & [r] : X in A}, over the first r elements."""
+    return SetSystem(r, np.array(a.members, dtype=np.uint64) & np.uint64((1 << r) - 1))
 
 
 def chain_correspondence(a: SetSystem, pi: Sequence[int]) -> bool:

@@ -1,8 +1,9 @@
 """Exact solvers for permutation problems.
 
 Two routes: the chain-tradeoff solver, which restricts the subset DP to
-a chain-efficient set system and sweeps a product of permutation covers,
-and a polynomial-space divide-and-conquer for TSP.  Full-subset dynamic
+a product of chain-efficient set systems, one per group of elements, and
+sweeps the product of the groups' permutation covers, and a
+polynomial-space divide-and-conquer for TSP.  Full-subset dynamic
 programming (Held-Karp) is the tradeoff over all 2^N subsets, whose one
 cover tuple is the identity.  One driver runs a sweep on either engine
 of the same run and walk contract: the array kernel of ``arraydp`` when
@@ -16,7 +17,7 @@ import time
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations, permutations
-from math import ceil, comb, factorial
+from math import ceil, comb, factorial, prod
 
 import numpy as np
 
@@ -25,11 +26,10 @@ from .cover import PermutationCover, greedy_cover, randomized_cover
 from .errors import (
     InvalidInstance,
     InvalidSetSystem,
-    InvalidSize,
     ResourceLimit,
     UnsupportedSemiring,
 )
-from .poset import DEFAULT_MEMORY_BUDGET, MAX_ELEMENTS
+from .poset import DEFAULT_MEMORY_BUDGET
 from .semiring import (
     ARRAY_INF,
     INF,
@@ -37,7 +37,7 @@ from .semiring import (
     TspInstance,
     tsp_weight_array,
 )
-from .setsystem import SetSystem, cartesian_power, product_family
+from .setsystem import SetSystem, cartesian_power, check_family_size, product_family, restriction
 
 
 @dataclass
@@ -99,9 +99,9 @@ class _CallbackDP:
     the entries it holds against the budget as it stores them.
     """
 
-    def __init__(self, problem: PermutationProblem, family: np.ndarray, n: int, budget: int):
-        self.n, self.degree, self.sr = n, problem.degree, problem.semiring
-        self.cost_fn = _padded_cost_fn(problem, n)
+    def __init__(self, problem: PermutationProblem, family: np.ndarray, budget: int):
+        self.n, self.degree, self.sr = problem.n, problem.degree, problem.semiring
+        self.cost_fn = problem.cost_fn
         self.family, self.pop = family, np.bitwise_count(family)
         self.budget = budget
 
@@ -354,30 +354,6 @@ def solve_gurevich_shelah(
 # Chain-tradeoff solver, and Held-Karp as its sweep over 2^[N]
 
 
-def _padded_cost_fn(problem: PermutationProblem, n_padded: int):
-    """Extend the cost oracle to the padded size; the oracle itself if none is padded.
-
-    Positions beyond the original size accept only the identity placement;
-    any earlier appearance of a padding element is rejected through the
-    additive identity, which annihilates the product.
-    """
-    n = problem.n
-    if n_padded == n:
-        return problem.cost_fn
-    sr = problem.semiring
-    clean = (1 << n) - 1
-
-    def padded(mask, window):
-        j = mask.bit_count()
-        if j > n:
-            return sr.one if window[-1] == j - 1 else sr.zero
-        if mask & ~clean:
-            return sr.zero
-        return problem.cost_fn(mask, window)
-
-    return padded
-
-
 def _build_cover(system: SetSystem, strategy: str, seed: int) -> PermutationCover:
     if strategy == "greedy":
         return greedy_cover(system)
@@ -386,18 +362,22 @@ def _build_cover(system: SetSystem, strategy: str, seed: int) -> PermutationCove
     raise InvalidInstance(f"unknown cover strategy {strategy!r}")
 
 
-def _tuple_labels(cover: PermutationCover, s: int, lo: int, hi: int) -> np.ndarray:
+def _tuple_labels(covers: list[PermutationCover], lo: int, hi: int) -> np.ndarray:
     """Labelling rows of the cover tuples lo..hi-1, in ``itertools.product`` order.
 
-    The tuple (pi_1, ..., pi_s) admits a mask iff relabelling element v of
-    group i as pi_i(v) turns it into a member of A^s.  So its DP is the
-    DP over A^s in which element w of group i stands for the problem's
-    element pi_i^-1(w) of group i; a row lists those elements.
+    Group i holds the next covers[i].n elements, and the tuple (pi_1, ...,
+    pi_s) admits a mask iff relabelling element v of group i as pi_i(v)
+    turns it into a member of the groups' product.  So its DP is the DP
+    over that product in which element w of group i stands for the
+    problem's element pi_i^-1(w) of group i; a row lists those elements.
     """
-    gn = cover.n
-    inverses = np.argsort(np.array(cover.perms, dtype=np.int64).reshape(-1, gn), axis=1)
-    digits = np.unravel_index(np.arange(lo, hi), (len(cover),) * s)
-    return np.hstack([inverses[d] + i * gn for i, d in enumerate(digits)])
+    digits = np.unravel_index(np.arange(lo, hi), [len(cover) for cover in covers])
+    rows, offset = [], 0
+    for cover, d in zip(covers, digits):
+        inverses = np.argsort(np.array(cover.perms, dtype=np.int64).reshape(-1, cover.n), axis=1)
+        rows.append(inverses[d] + offset)
+        offset += cover.n
+    return np.hstack(rows)
 
 
 def _relabel(family: np.ndarray, inv: np.ndarray) -> np.ndarray:
@@ -408,8 +388,8 @@ def _relabel(family: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve(problem, budget, family, n_padded, cover, s, t0) -> SolveResult:
-    """Sweep the tuples of ``cover``^s over ``family`` on the problem's engine.
+def _solve(problem, budget, family, covers, t0) -> SolveResult:
+    """Sweep the tuples of the groups' ``covers`` over ``family`` on the problem's engine.
 
     The array kernel runs problems with an array form, the callback DP any
     other.  Tuples run in batches that keep two layers, and the first best
@@ -419,12 +399,12 @@ def _solve(problem, budget, family, n_padded, cover, s, t0) -> SolveResult:
     wall time runs from ``t0``.
     """
     sr = problem.semiring
-    tuples = len(cover) ** s
+    tuples = prod(map(len, covers))
     stats = SolveStats(cover_product_size=tuples)
     if problem.arrays is not None:
-        dp = ArrayDP(problem.arrays, problem.n, family, n_padded, problem.degree, budget)
+        dp = ArrayDP(problem.arrays, family, problem.n, problem.degree, budget)
     else:
-        dp = _CallbackDP(problem, family, n_padded, budget)
+        dp = _CallbackDP(problem, family, budget)
 
     def account(run) -> int:
         stats.total_dp_updates += int(run.updates.sum())
@@ -435,7 +415,7 @@ def _solve(problem, budget, family, n_padded, cover, s, t0) -> SolveResult:
     batch = dp.batch_size(tuples, budget, keep_all)
     best_value, best_tuple = sr.zero, None
     for lo in range(0, tuples, batch):
-        run = dp.run(_tuple_labels(cover, s, lo, min(lo + batch, tuples)), keep_all)
+        run = dp.run(_tuple_labels(covers, lo, min(lo + batch, tuples)), keep_all)
         stats.sweep_peak_entries = max(stats.sweep_peak_entries, account(run))
         for t, value in enumerate(run.values, lo):
             merged = sr.add(best_value, value)
@@ -443,12 +423,12 @@ def _solve(problem, budget, family, n_padded, cover, s, t0) -> SolveResult:
                 best_value, best_tuple = merged, t
     witness = None
     if best_tuple is not None and sr.idempotent:
-        labels = _tuple_labels(cover, s, best_tuple, best_tuple + 1)
+        labels = _tuple_labels(covers, best_tuple, best_tuple + 1)
         if not keep_all:
             dp.batch_size(1, budget, keep_all=True)
             run = dp.run(labels, keep_all=True)
             stats.witness_peak_entries = account(run)
-        witness = dp.walk(run, labels[0])[: problem.n]
+        witness = dp.walk(run, labels[0])
     stats.peak_resident_entries = max(stats.sweep_peak_entries, stats.witness_peak_entries)
     stats.wall_time = time.monotonic() - t0
     return SolveResult(value=best_value, witness=witness, stats=stats)
@@ -464,13 +444,16 @@ def solve_chain_tradeoff(
 ) -> SolveResult:
     """Sweep cover tuples, running the restricted subset DP for each.
 
-    The instance is padded to a multiple of the group size, one certified
-    cover (``strategy`` "greedy" or "random", the latter drawn from
-    ``seed``) is built for the g-th power of ``system`` and shared by all
-    groups through the group bijections, and the per-tuple results are
-    combined with the idempotent addition.  Every tuple's admissible
-    masks are A^s relabelled, so a problem with an array form sweeps
-    the tuples in batches over one plan of A^s; any other runs the
+    The N elements fall into s groups of n, the size of A, the g-th power
+    of ``system``, but the last group holds only the r = N - (s - 1) n
+    left over, and runs A|[r] = {X & [r] : X in A}, which holds the empty
+    set and [r].  Each distinct group family gets one certified cover
+    (``strategy`` "greedy" or "random", the latter drawn from ``seed``).
+    For every order of [N] some cover tuple relabels each of its prefixes
+    into the product A^(s-1) x A|[r], so the per-tuple results, combined
+    with the idempotent addition, give the optimum.  Every tuple's admissible
+    masks are that product relabelled, so a problem with an array form
+    sweeps the tuples in batches over one plan of it; any other runs the
     callback DP per tuple on the relabelled masks.
     """
     sr = problem.semiring
@@ -480,17 +463,12 @@ def solve_chain_tradeoff(
         raise InvalidSetSystem("set system must contain the empty and full set")
     system = cartesian_power(system, g)
     s = ceil(problem.n / system.n)
-    if s * system.n > MAX_ELEMENTS:
-        raise InvalidSize(
-            f"padding {problem.n} elements to groups of {system.n} gives"
-            f" {s * system.n}, over {MAX_ELEMENTS}"
-        )
+    groups = [system] * (s - 1) + [restriction(system, problem.n - (s - 1) * system.n)]
+    check_family_size(prod(map(len, groups)), memory_budget, f"the product family of {s} groups")
     t0 = time.monotonic()
-    cover = _build_cover(system, strategy, seed)
-    if len(system) ** s > memory_budget:
-        raise ResourceLimit(f"|A|^{s} exceeds the memory budget")
-    family = product_family(system, s)
-    return _solve(problem, memory_budget, family, system.n * s, cover, s, t0)
+    covers = {a: _build_cover(a, strategy, seed) for a in dict.fromkeys(groups)}
+    family = product_family(groups)
+    return _solve(problem, memory_budget, family, [covers[a] for a in groups], t0)
 
 
 def solve_held_karp(
@@ -505,8 +483,7 @@ def solve_held_karp(
     """
     n = problem.n
     t0 = time.monotonic()
-    if 1 << n > memory_budget:
-        raise ResourceLimit("the 2^N prefix sets exceed the memory budget")
+    check_family_size(1 << n, memory_budget, "the 2^N prefix sets")
     identity = PermutationCover(n, (tuple(range(n)),), True)
     family = np.arange(1 << n, dtype=np.uint64)
-    return _solve(problem, memory_budget, family, n, identity, 1, t0)
+    return _solve(problem, memory_budget, family, [identity], t0)

@@ -15,10 +15,10 @@ def run_json(capsys, argv):
     return code, json.loads(out) if out.strip() else None
 
 
-def assert_one_line_error(capsys):
+def assert_one_line_error(capsys, prefix="error: "):
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(prefix) and err.count("\n") == 1
 
 
 class TestCount:
@@ -242,14 +242,35 @@ class TestSolve:
         assert run([*argv, "--algo", "held-karp"]) == 2
         assert_one_line_error(capsys)
 
-    def test_tradeoff_padded_past_64_elements_exit_2(self, capsys, tmp_path):
-        # 64 vertices in groups of 3 pad to 66 elements
+    def test_tradeoff_at_64_elements(self, capsys, tmp_path):
+        # 64 vertices in groups of 3 are 21 whole groups and one of a single
+        # element, 4^21 * 2 masks; 65 vertices are refused as they are read
         graph, system = tmp_path / "g.txt", tmp_path / "a.txt"
-        graph.write_text("64 0\n")
         system.write_text("3 4\n-\n0\n0 1\n0 1 2\n")
         argv = ["solve", "dfas", "--graph", str(graph), "--algo", "tradeoff"]
+        graph.write_text("64 0\n")
+        assert run([*argv, "--setsystem", str(system)]) == 3
+        assert_one_line_error(capsys, "resource limit: ")
+        graph.write_text("65 0\n")
         assert run([*argv, "--setsystem", str(system)]) == 2
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "text, algo",
+        [
+            ("45 0\n", ["held-karp"]),
+            ("64 0\n", ["held-karp"]),
+            ("64 0\n", ["tradeoff", "--builtin", "tower:8:1"]),
+        ],
+        ids=["held-karp-45", "held-karp-64", "power-set-tradeoff-64"],
+    )
+    def test_family_past_physical_memory_exit_3(self, capsys, tmp_path, text, algo):
+        # a budget far above the machine: the family's masks alone would not fit
+        f = tmp_path / "g.txt"
+        f.write_text(text)
+        argv = ["--memory-budget", str(10**25), "solve", "dfas", "--graph", str(f), "--algo"]
+        assert run([*argv, *algo]) == 3
+        assert_one_line_error(capsys, "resource limit: ")
 
     @pytest.mark.parametrize("budget", ["-1", "0"])
     @pytest.mark.parametrize(

@@ -273,11 +273,15 @@ class TestEightElements:
         assert capsys.readouterr().out == ""
 
     def test_uncertified_cover_in_solve_exit_3(self, tmp_path):
-        f = tmp_path / "five.txt"
-        f.write_text("5\n0 1 2 3 4\n1 0 1 2 3\n2 1 0 1 2\n3 2 1 0 1\n4 3 2 1 0\n")
-        argv = ["solve", "tsp", "--matrix", str(f), "--algo", "tradeoff", "--builtin", "tower:3:3"]
-        assert run(argv) == 3
-        assert run([*argv, "--strategy", "random"]) == 3
+        # 10 cities are 9 elements, one whole group of tower:3:3, whose cover
+        # would be certified over S_9; 5 cities need only a cover of A|[4]
+        for cities, code in ((10, 3), (5, 0)):
+            f = tmp_path / f"{cities}.txt"
+            rows = (" ".join(str(abs(i - j)) for j in range(cities)) for i in range(cities))
+            f.write_text(f"{cities}\n" + "\n".join(rows) + "\n")
+            argv = ["solve", "tsp", "--matrix", str(f), "--algo", "tradeoff"]
+            assert run([*argv, "--builtin", "tower:3:3"]) == code
+            assert run([*argv, "--builtin", "tower:3:3", "--strategy", "random"]) == code
 
 
 class TestRandomizedCover:
