@@ -186,32 +186,44 @@ def make_antichain(n: int) -> Poset:
 
 
 def _ideal_layers(p: Poset, memory_budget: int):
-    """The ideals of p, one popcount layer at a time, as sorted uint64 masks.
+    """The ideals of p, one popcount layer at a time, with their Hasse edges.
 
-    The ideals yielded so far are checked against the budget before the
-    next layer's candidates are built.
+    Yields (layer, src, starts): the layer as sorted uint64 masks, and the
+    edges into it from the layer before as ``_extend_ideals`` returns them
+    (both empty for the layer {0}).  The ideals yielded so far are checked
+    against the budget before the next layer's candidates are built.
     """
     pred = np.array(p.pred_mask, dtype=np.uint64)
     bits = np.uint64(1) << np.arange(p.n, dtype=np.uint64)
     layer = np.zeros(1, dtype=np.uint64)
+    src = starts = np.zeros(0, dtype=np.intp)
     total = 0
     while layer.size:
         total += layer.size
         if total > memory_budget:
             raise ResourceLimit(f"ideal lattice exceeds budget of {memory_budget} entries")
-        yield layer
-        layer = _extend_ideals(layer, pred, bits)
+        yield layer, src, starts
+        layer, src, starts = _extend_ideals(layer, pred, bits)
 
 
 def _extend_ideals(layer, pred, bits):
-    """The ideals one element larger than those of ``layer``, sorted.
+    """The ideals one element larger than those of ``layer``, and the edges
+    into them: (next layer, src, starts).
 
     An ideal I extends by each v outside it whose predecessors it holds,
-    I & (pred[v] | v) == pred[v]; sorting removes the duplicates.
+    I & (pred[v] | v) == pred[v].  The children I | v of one v form a sorted
+    run, since OR-ing a bit into sorted masks that lack it keeps their
+    order, so a stable argsort merges the n runs cheaply.  ``src`` is the
+    index in ``layer`` of each edge's parent, the edges ordered by child,
+    and ``starts`` the first edge into each child of the next layer.
     """
-    return _sorted_unique(
-        np.concatenate([layer[(layer & (pv | bv)) == pv] | bv for pv, bv in zip(pred, bits)])
-    )
+    ok = [np.flatnonzero((layer & (pv | bv)) == pv) for pv, bv in zip(pred, bits)]
+    cand = np.concatenate([layer[at] | bv for at, bv in zip(ok, bits)])
+    order = np.argsort(cand, kind="stable")
+    cand = cand[order]
+    first = np.ones(cand.size, dtype=bool)
+    first[1:] = cand[1:] != cand[:-1]
+    return cand[first], np.concatenate(ok)[order], np.flatnonzero(first)
 
 
 def _sorted_unique(cand):
@@ -222,12 +234,15 @@ def _sorted_unique(cand):
     return cand[first]
 
 
-#: Parent lookups per block of the chain kernel, which keeps its working
-#: arrays near 3 MB; larger blocks were no faster on the counterexample.
+#: Parent lookups per block of ``count_layer_chains``, which keeps its
+#: working arrays near 3 MB; blocks of 2^14 to 2^18 ran within noise of each
+#: other on tower:17:2 and on the counterexample's ideals as a set system.
 _CHAIN_BLOCK = 1 << 16
 
 #: Chain counts are held in base-2^32 limbs of uint64, so the sum of a
-#: member's at most 64 parents' limbs stays below 2^38 and is exact.
+#: member's at most 64 parents' limbs stays below 2^38 and is exact.  Counts
+#: reach 2^97 on the paper's families; a (limbs, members) array gains a row
+#: only when a count outgrows the current ones.
 _LIMB_BITS = 32
 _LIMB_MASK = np.uint64((1 << _LIMB_BITS) - 1)
 
@@ -263,6 +278,11 @@ def _carry(limbs):
     return np.vstack([limbs, top])
 
 
+def _limbs_total(limbs) -> int:
+    """The sum of the counts whose base-2^32 limbs are ``limbs``, a Python int."""
+    return sum(sum(row.tolist()) << (_LIMB_BITS * l) for l, row in enumerate(limbs))
+
+
 def count_layer_chains(layers) -> int:
     """Number of maximal chains of a family given as popcount layers.
 
@@ -271,11 +291,10 @@ def count_layer_chains(layers) -> int:
     1; a later member counts the sum of its parents' counts, a parent being
     the member less one element, found in the previous layer by binary
     search (a missing parent contributes 0).  Returns the summed counts of
-    the last layer.  Counts reach 2^97 on the paper's families, so each is
-    held exactly as base-2^32 limbs in a (limbs, members) uint64 array,
-    which gains a row only when a count outgrows the current ones; the
-    result is assembled as a Python int.  Only two layers are resident at
-    a time.
+    the last layer, exact as a Python int, with each count held in limbs.
+    Only two layers are resident at a time.  This serves any family; the
+    ideal DP, whose enumeration already yields every parent, sums along
+    those edges instead.
     """
     layers = iter(layers)
     prev = next(layers)
@@ -291,12 +310,12 @@ def count_layer_chains(layers) -> int:
             block = layer[start : start + rows]
             nxt[:, start : start + block.size] = _parent_sums(block, k, prev, counts)
         prev, counts = layer, _carry(nxt)
-    return sum(sum(row.tolist()) << (_LIMB_BITS * l) for l, row in enumerate(counts))
+    return _limbs_total(counts)
 
 
 def enumerate_ideals(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):
     """All ideals of p as bitmasks, sorted by (popcount, value)."""
-    return np.concatenate(list(_ideal_layers(p, memory_budget))).tolist()
+    return np.concatenate([layer for layer, _, _ in _ideal_layers(p, memory_budget)]).tolist()
 
 
 #: Entries in one block of an ideal kernel's working array (4 MB of
@@ -445,7 +464,7 @@ def _transfer_trace(p: CirculantBipartitePoset, memory_budget: int) -> int:
 
 
 def _count_ideals_lattice(p: Poset, memory_budget: int) -> int:
-    return sum(layer.size for layer in _ideal_layers(p, memory_budget))
+    return sum(layer.size for layer, _, _ in _ideal_layers(p, memory_budget))
 
 
 def _circulant_only(name: str, kernel):
@@ -497,8 +516,19 @@ def _count_extensions_brute(p: Poset, memory_budget: int) -> int:
 
 
 def _count_extensions_ideal_dp(p: Poset, memory_budget: int) -> int:
-    """Maximal chains of the ideal lattice, which are the linear extensions."""
-    return count_layer_chains(_ideal_layers(p, memory_budget))
+    """Maximal chains of the ideal lattice, which are the linear extensions.
+
+    The empty ideal counts 1, and every other ideal the sum of its parents'
+    counts, summed along the Hasse edges the enumeration yields, one limb
+    row at a time.  An ideal has at most 64 parents, so each limb sum is
+    exact; the last layer is the one ideal [n].
+    """
+    layers = _ideal_layers(p, memory_budget)
+    next(layers)
+    counts = np.ones((1, 1), dtype=np.uint64)
+    for _, src, starts in layers:
+        counts = _carry(np.vstack([np.add.reduceat(row[src], starts) for row in counts]))
+    return _limbs_total(counts)
 
 
 def _prefix_dp(nx: int, needs, canon, memory_budget: int, name: str) -> int:

@@ -6,6 +6,7 @@ file output and DP iteration order are deterministic.
 
 from __future__ import annotations
 
+import functools
 import os
 from typing import Sequence
 
@@ -23,7 +24,11 @@ from .poset import (
 
 
 class SetSystem:
-    """A family of subsets of {0, ..., n-1}."""
+    """A family of subsets of {0, ..., n-1}.
+
+    ``masks`` holds the members as a read-only uint64 array and ``members``
+    as a tuple of ints, both sorted by (popcount, value).
+    """
 
     def __init__(self, n: int, members):
         if not 1 <= n <= MAX_ELEMENTS:
@@ -34,9 +39,14 @@ class SetSystem:
         masks = masks[distinct]
         # a stable popcount sort of the sorted values orders by (popcount, value)
         masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
+        masks.flags.writeable = False
         self.n = n
+        self.masks = masks
         self.members = tuple(masks.tolist())
-        self._member_set = frozenset(self.members)
+
+    @functools.cached_property
+    def _member_set(self) -> frozenset:
+        return frozenset(self.members)
 
     def __contains__(self, mask: int) -> bool:
         return mask in self._member_set
@@ -61,7 +71,9 @@ class SetSystem:
         return (1 << self.n) - 1
 
     def admits_chains(self) -> bool:
-        return 0 in self._member_set and self.full_mask in self._member_set
+        """Whether the family holds the empty set and [n], its two ends."""
+        m = self.masks
+        return m.size > 0 and int(m[0]) == 0 and int(m[-1]) == self.full_mask
 
 
 def _mask_array(n: int, members) -> np.ndarray:
@@ -111,9 +123,8 @@ def tower_of_cubes(t: int, k: int) -> SetSystem:
 def count_maximal_chains(a: SetSystem) -> int:
     """Exact number of maximal chains: sequences from the empty set to the
     full universe, adding one element per step, all members of the family."""
-    members = np.array(a.members, dtype=np.uint64)
-    ends = np.searchsorted(np.bitwise_count(members), np.arange(a.n + 2))
-    return count_layer_chains(members[ends[k] : ends[k + 1]] for k in range(a.n + 1))
+    ends = np.searchsorted(np.bitwise_count(a.masks), np.arange(a.n + 2))
+    return count_layer_chains(a.masks[ends[k] : ends[k + 1]] for k in range(a.n + 1))
 
 
 def chain_efficiency(a: SetSystem, chains: int | None = None) -> EfficiencyReport:
@@ -157,7 +168,7 @@ def product_family(groups: Sequence[SetSystem]) -> np.ndarray:
     family = np.zeros(1, dtype=np.uint64)
     shift = 0
     for a in groups:
-        members = np.array(a.members, dtype=np.uint64) << np.uint64(shift)
+        members = a.masks << np.uint64(shift)
         family = (family[:, None] | members).ravel()
         shift += a.n
     return family
@@ -165,7 +176,7 @@ def product_family(groups: Sequence[SetSystem]) -> np.ndarray:
 
 def restriction(a: SetSystem, r: int) -> SetSystem:
     """A|[r] = {X & [r] : X in A}, over the first r elements."""
-    return SetSystem(r, np.array(a.members, dtype=np.uint64) & np.uint64((1 << r) - 1))
+    return SetSystem(r, a.masks & np.uint64((1 << r) - 1))
 
 
 def chain_correspondence(a: SetSystem, pi: Sequence[int]) -> bool:

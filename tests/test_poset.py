@@ -8,6 +8,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chaineff.poset
 from chaineff.errors import InvalidInstance, MethodMismatch, ResourceLimit
@@ -238,6 +240,18 @@ def random_poset(rng, n):
     return Poset(n, covers)
 
 
+@st.composite
+def posets(draw, max_n):
+    """A poset on up to ``max_n`` elements: k of the pairs i < j, k at most
+    a drawn multiple of n, relabelled by a random permutation."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    k = draw(st.integers(min_value=0, max_value=draw(st.sampled_from([1, 2, n])) * n))
+    label = draw(st.permutations(range(n)))
+    chosen = draw(st.permutations(pairs))[:k]
+    return Poset(n, [(label[i], label[j]) for i, j in chosen])
+
+
 class TestConstruction:
     def test_rejects_cycle(self):
         with pytest.raises(InvalidInstance):
@@ -402,13 +416,41 @@ class TestLayerKernel:
         assert lam == dict_ideal_dp(p) == factorial(10) ** 4
         assert lam > 1 << 64
 
+    @given(posets(max_n=8))
+    def test_ideal_dp_matches_brute_property(self, p):
+        assert count_linear_extensions(p, "ideal-dp") == count_linear_extensions(p, "brute")
+
+    @settings(max_examples=60)
+    @given(posets(max_n=16))
+    def test_ideal_dp_matches_dict_dp_property(self, p):
+        assert count_linear_extensions(p, "ideal-dp") == dict_ideal_dp(p)
+
+    @settings(max_examples=60)
+    @given(posets(max_n=16))
+    def test_lattice_layers_and_edges_match_bfs_property(self, p):
+        ideals = bfs_ideals(p)
+        assert count_ideals(p, "lattice") == len(ideals)
+        layers = list(_ideal_layers(p, DEFAULT_MEMORY_BUDGET))
+        assert [x for layer, _, _ in layers for x in layer.tolist()] == ideals
+        # the edges into each ideal come from exactly the ideals less one
+        # of its maximal elements
+        for (prev, _, _), (layer, src, starts) in zip(layers, layers[1:]):
+            assert starts[0] == 0 and starts.size == layer.size
+            for ideal, parents in zip(layer.tolist(), np.split(prev[src], starts[1:])):
+                expect = [
+                    ideal & ~(1 << v)
+                    for v in range(p.n)
+                    if ideal >> v & 1 and p.succ_mask[v] & ideal == 0
+                ]
+                assert sorted(parents.tolist()) == sorted(expect)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_limbs_match_object_kernel_on_posets(self, seed):
         # sparse random orders on up to 20 elements, so some counts pass 2^32
         rng = random.Random(1300 + seed)
         n, density = rng.randint(1, 20), rng.choice([0.05, 0.1, 0.3])
         p = Poset(n, [(i, j) for j in range(n) for i in range(j) if rng.random() < density])
-        layers = _ideal_layers(p, DEFAULT_MEMORY_BUDGET)
+        layers = [layer for layer, _, _ in _ideal_layers(p, DEFAULT_MEMORY_BUDGET)]
         assert count_linear_extensions(p, "ideal-dp") == object_layer_chains(layers)
 
     @pytest.mark.parametrize("seed", range(12))

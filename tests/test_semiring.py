@@ -181,3 +181,8 @@ class TestEvaluation:
             for s in permutations(range(n))
         )
         assert brute_force_optimum(prob) == expect
+
+
+def test_property_tests_run_the_shared_profile():
+    # loaded by conftest.py: the same examples every run, no deadline
+    assert settings.default.derandomize and settings.default.deadline is None

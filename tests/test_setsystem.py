@@ -17,6 +17,8 @@ from chaineff.setsystem import (
     count_maximal_chains,
     from_poset_ideals,
     full_power_set,
+    product_family,
+    restriction,
     setsystem_from_text,
     setsystem_to_text,
     tower_of_cubes,
@@ -212,3 +214,45 @@ class TestValidationAndText:
         a = random_system(random.Random(9), 5)
         b = setsystem_from_text(setsystem_to_text(a))
         assert a.n == b.n and a.members == b.members
+
+
+class TestMaskArray:
+    def test_masks_are_read_only(self):
+        a = SetSystem(3, [7, 0, 3])
+        assert a.masks.tolist() == [0, 3, 7] == list(a.members)
+        with pytest.raises(ValueError):
+            a.masks[0] = 1
+
+    def test_membership_after_the_lazy_build(self):
+        a = tower_of_cubes(8, 8)
+        assert "_member_set" not in vars(a)
+        assert (1 << 63) - 1 in a and (1 << 64) - 1 in a and 0 in a
+        assert 1 << 63 not in a and 0b1_0000_0000 not in a
+        assert "_member_set" in vars(a)
+
+    @pytest.mark.parametrize(
+        "n, members, admits",
+        [
+            (3, [0, 1, 3, 7], True),
+            (3, [1, 3, 7], False),
+            (3, [0, 1, 3], False),
+            (3, [], False),
+            (1, [0, 1], True),
+            (64, [0, (1 << 64) - 1], True),
+            (64, [0, (1 << 63) - 1], False),
+        ],
+    )
+    def test_admits_chains_reads_the_ends(self, n, members, admits):
+        assert SetSystem(n, members).admits_chains() is admits
+
+    def test_bit_63_through_product_and_restriction(self):
+        a = tower_of_cubes(8, 8)
+        assert SetSystem(64, product_family([a])) == a
+        assert restriction(a, 64) == a
+        low = restriction(a, 56)
+        assert low == tower_of_cubes(8, 7)
+        top = full_power_set(8)
+        family = product_family([low, top])
+        assert family.size == len(low) * 256
+        assert set(a.members) <= set(family.tolist())
+        assert {int(x) >> 56 for x in family} == set(range(256))
