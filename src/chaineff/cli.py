@@ -62,7 +62,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ChainEffError(f"cannot read {path}: {exc}") from exc
 
 
@@ -227,7 +227,7 @@ def _cmd_chains(args) -> int:
         {
             "command": "chains",
             "n": a.n,
-            "size": str(len(a.members)),
+            "size": str(len(a)),
             "value": str(count_maximal_chains(a)),
             "provenance": {"algorithm": "chain-dp", "method": "chain-dp", "seed": None},
         }
@@ -359,7 +359,7 @@ def _verify_counterexample(args) -> int:
     checks = [
         _check("alpha", alpha, 260553),
         _check("lambda", lam, 131576429145341435860520294400),
-        _check("tower_size", len(tower.members), 262143),
+        _check("tower_size", len(tower), 262143),
         _check("tower_chains", chains, factorial(17) ** 2),
         _check_range("ratio", ratio, 0.95, 0.97),
     ]

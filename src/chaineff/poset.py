@@ -7,6 +7,7 @@ tests require them to agree bit-for-bit wherever more than one applies.
 
 from __future__ import annotations
 
+import os
 from itertools import permutations
 from math import factorial
 
@@ -25,6 +26,11 @@ MAX_ELEMENTS = 64
 
 #: Default cap on resident DP entries / enumerated ideals.
 DEFAULT_MEMORY_BUDGET = 1 << 28
+
+
+def physical_bytes() -> int:
+    """The machine's physical memory in bytes."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 class Poset:
@@ -185,25 +191,48 @@ def make_antichain(n: int) -> Poset:
 # Ideal enumeration and counting
 
 
+#: Bytes per Hasse edge that ``_extend_ideals`` holds at once: five int64 arrays.
+_EDGE_BYTES = 40
+
+
 def _ideal_layers(p: Poset, memory_budget: int):
     """The ideals of p, one popcount layer at a time, with their Hasse edges.
 
     Yields (layer, src, starts): the layer as sorted uint64 masks, and the
     edges into it from the layer before as ``_extend_ideals`` returns them
-    (both empty for the layer {0}).  The ideals yielded so far are checked
-    against the budget before the next layer's candidates are built.
+    (both empty for the layer {0}).  The ideals so far are checked against
+    the budget.  The E edges out of layer k are counted before they are
+    built, and an ideal of k + 1 elements has at most k + 1 parents, so
+    the build is refused when the ideals so far and E / (k + 1) pass the
+    budget, or when the edges pass physical memory.
     """
     pred = np.array(p.pred_mask, dtype=np.uint64)
     bits = np.uint64(1) << np.arange(p.n, dtype=np.uint64)
     layer = np.zeros(1, dtype=np.uint64)
     src = starts = np.zeros(0, dtype=np.intp)
     total = 0
-    while layer.size:
+    for k in range(p.n + 1):
         total += layer.size
         if total > memory_budget:
             raise ResourceLimit(f"ideal lattice exceeds budget of {memory_budget} entries")
         yield layer, src, starts
+        edges = sum(int(np.count_nonzero(_fits(layer, pv, bv))) for pv, bv in zip(pred, bits))
+        if not edges:
+            return
+        least = -(-edges // (k + 1))
+        if total + least > memory_budget:
+            raise ResourceLimit(
+                f"ideal lattice exceeds budget of {memory_budget} entries:"
+                f" {total} ideals and at least {least} in the next layer"
+            )
+        if _EDGE_BYTES * edges > physical_bytes():
+            raise ResourceLimit(f"ideal lattice: {edges} next-layer edges pass physical memory")
         layer, src, starts = _extend_ideals(layer, pred, bits)
+
+
+def _fits(layer, pv, bv):
+    """Which ideals of ``layer`` lack element ``bv`` and hold its predecessors ``pv``."""
+    return (layer & (pv | bv)) == pv
 
 
 def _extend_ideals(layer, pred, bits):
@@ -217,7 +246,7 @@ def _extend_ideals(layer, pred, bits):
     index in ``layer`` of each edge's parent, the edges ordered by child,
     and ``starts`` the first edge into each child of the next layer.
     """
-    ok = [np.flatnonzero((layer & (pv | bv)) == pv) for pv, bv in zip(pred, bits)]
+    ok = [np.flatnonzero(_fits(layer, pv, bv)) for pv, bv in zip(pred, bits)]
     cand = np.concatenate([layer[at] | bv for at, bv in zip(ok, bits)])
     order = np.argsort(cand, kind="stable")
     cand = cand[order]

@@ -7,7 +7,6 @@ file output and DP iteration order are deterministic.
 from __future__ import annotations
 
 import functools
-import os
 from typing import Sequence
 
 import numpy as np
@@ -20,14 +19,16 @@ from .poset import (
     Poset,
     count_layer_chains,
     enumerate_ideals,
+    physical_bytes,
 )
 
 
 class SetSystem:
     """A family of subsets of {0, ..., n-1}.
 
-    ``masks`` holds the members as a read-only uint64 array and ``members``
-    as a tuple of ints, both sorted by (popcount, value).
+    ``masks`` holds the members as a read-only uint64 array, sorted by
+    (popcount, value); ``members``, the same as a tuple of ints, is built
+    on first use.
     """
 
     def __init__(self, n: int, members):
@@ -42,29 +43,33 @@ class SetSystem:
         masks.flags.writeable = False
         self.n = n
         self.masks = masks
-        self.members = tuple(masks.tolist())
+
+    @functools.cached_property
+    def members(self) -> tuple:
+        return tuple(self.masks.tolist())
 
     @functools.cached_property
     def _member_set(self) -> frozenset:
-        return frozenset(self.members)
+        return frozenset(self.masks.tolist())
 
     def __contains__(self, mask: int) -> bool:
         return mask in self._member_set
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.masks)
 
     def __eq__(self, other):
-        return isinstance(other, SetSystem) and (self.n, self.members) == (
-            other.n,
-            other.members,
+        return (
+            isinstance(other, SetSystem)
+            and self.n == other.n
+            and np.array_equal(self.masks, other.masks)
         )
 
     def __hash__(self):
-        return hash((self.n, self.members))
+        return hash((self.n, self.masks.tobytes()))
 
     def __repr__(self):
-        return f"SetSystem(n={self.n}, members={len(self.members)})"
+        return f"SetSystem(n={self.n}, members={len(self.masks)})"
 
     @property
     def full_mask(self) -> int:
@@ -155,7 +160,7 @@ def check_family_size(size: int, memory_budget: int, what: str) -> None:
     """
     if size > memory_budget:
         raise ResourceLimit(f"{what}: {size} masks exceed the memory budget")
-    if 8 * size > os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+    if 8 * size > physical_bytes():
         raise ResourceLimit(f"{what}: {size} masks take {8 * size} bytes, over physical memory")
 
 
@@ -201,7 +206,7 @@ def chain_correspondence(a: SetSystem, pi: Sequence[int]) -> bool:
 
 def setsystem_to_text(a: SetSystem) -> str:
     lines = [f"{a.n} {len(a)}"]
-    for mask in a.members:
+    for mask in a.masks.tolist():
         if mask == 0:
             lines.append("-")
         else:
@@ -224,6 +229,8 @@ def setsystem_from_text(text: str) -> SetSystem:
         n, k = map(int, lines[0].split())
     except ValueError as exc:
         raise InvalidInstance(f"malformed set-system header: {exc}") from exc
+    if not 1 <= n <= MAX_ELEMENTS:
+        raise InvalidSize(f"universe size must be in [1, {MAX_ELEMENTS}]")
     if len(lines) - 1 != k:
         raise InvalidInstance("set-system file has a wrong member count")
     members = []

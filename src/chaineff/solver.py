@@ -5,10 +5,9 @@ a product of chain-efficient set systems, one per group of elements, and
 sweeps the product of the groups' permutation covers, and a
 polynomial-space divide-and-conquer for TSP.  Full-subset dynamic
 programming (Held-Karp) is the tradeoff over all 2^N subsets, whose one
-cover tuple is the identity.  One driver runs a sweep on either engine
-of the same run and walk contract: the array kernel of ``arraydp`` when
-the problem has an array form, else the callback DP, which calls the
-problem's cost oracle per entry.
+cover tuple is the identity.  One driver runs every sweep on the DP of
+``arraydp``, whose costs come from the problem's array form when it has
+one and from its cost oracle otherwise.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from math import ceil, comb, factorial, prod
 
 import numpy as np
 
-from .arraydp import SCRATCH_ENTRIES, ArrayDP, Run
+from .arraydp import SCRATCH_ENTRIES, ArrayDP
 from .cover import PermutationCover, greedy_cover, randomized_cover
 from .errors import (
     InvalidInstance,
@@ -52,9 +51,9 @@ class SolveStats:
     the sweep's, and the witness peak is 0.  ``batch_resident_entries`` is
     the table space the memory budget was checked against, the most that
     any one run held, the witness re-run included: a batch of dense
-    per-tuple tables on the array kernel (the budget also holds its plan),
-    the finite entries held on the callback DP.  For gs the peaks
-    are those of the sequential recursion, and ``batch_resident_entries``
+    per-tuple tables (the budget also holds the plan).  The peaks count
+    the entries that are not the semiring's zero.  For gs the peaks are
+    those of the sequential recursion, and ``batch_resident_entries``
     bounds its batched kernel's arrays.
     """
 
@@ -72,123 +71,6 @@ class SolveResult:
     value: object
     witness: tuple | None
     stats: SolveStats
-
-
-# ---------------------------------------------------------------------------
-# Shared restricted subset DP
-#
-# A state is (X, key): X is the set of placed elements and key the ordered
-# tuple of the last min(d - 1, |X|) of them, which is all that the next
-# step's window reads.  g(X, key) is the semiring sum, over the orders of X
-# that end in key and whose every prefix is admissible, of the product of
-# the local costs.  From the root g({}, ()) = one, placing ``last`` after
-# the state (X, pkey) charges cost_fn(X + last, pkey + (last,)) and lands
-# on (X + last, the last d - 1 elements of that window).  For d = 1 every
-# key is (), so the states are plain subsets; for d = 2 they are the
-# (subset, last city) states of Held-Karp.  Only admissible masks get a
-# row, so a missing parent row contributes the additive identity, and
-# entries equal to the additive identity are not stored.
-
-
-class _CallbackDP:
-    """The DP over ``family`` on the problem's semiring and cost oracle.
-
-    It keeps the contract of ``arraydp.ArrayDP``: ``batch_size``, ``run``
-    and ``walk``, with batches of one labelling row.  A run relabels the
-    family, so its tables are keyed by the problem's own masks, and checks
-    the entries it holds against the budget as it stores them.
-    """
-
-    def __init__(self, problem: PermutationProblem, family: np.ndarray, budget: int):
-        self.n, self.degree, self.sr = problem.n, problem.degree, problem.semiring
-        self.cost_fn = problem.cost_fn
-        self.family, self.pop = family, np.bitwise_count(family)
-        self.budget = budget
-
-    def batch_size(self, rows: int, budget: int, keep_all: bool) -> int:
-        """One row: a run's entries are checked as it stores them."""
-        return 1
-
-    def held(self, run: Run) -> int:
-        """Entries the run held against the budget: its finite entries at peak."""
-        return run.peak()
-
-    def run(self, labels: np.ndarray, keep_all: bool = False) -> Run:
-        """The DP for the one labelling row of ``labels`` (1, n).
-
-        Without ``keep_all`` a layer reads only the one before it, so the
-        rows of popcount k - 2 are dropped before layer k is built.
-        """
-        masks = _relabel(self.family, labels[0])
-        by_popcount = [masks[self.pop == k].tolist() for k in range(self.n + 1)]
-        keep = self.degree - 1
-        zero, add, mul, cost_fn = self.sr.zero, self.sr.add, self.sr.mul, self.cost_fn
-        table: dict[int, dict[tuple, object]] = {0: {(): self.sr.one}}
-        live = [1]
-        resident = 1
-        updates = 0
-        for k in range(1, self.n + 1):
-            if not keep_all and k >= 2:
-                for mask in by_popcount[k - 2]:
-                    resident -= len(table.pop(mask, ()))
-            below = resident
-            for mask in by_popcount[k]:
-                row = {}
-                rest = mask
-                while rest:
-                    bit = rest & -rest
-                    rest ^= bit
-                    prev_row = table.get(mask ^ bit)
-                    if prev_row is None:
-                        continue
-                    last = bit.bit_length() - 1
-                    for pkey, pvalue in prev_row.items():
-                        window = pkey + (last,)
-                        cand = mul(pvalue, cost_fn(mask, window))
-                        updates += 1
-                        key = window[-keep:] if keep else ()
-                        current = row.get(key)
-                        if current is None:
-                            if cand == zero:
-                                continue
-                            resident += 1
-                            if resident > self.budget:
-                                raise ResourceLimit("DP table exceeds the memory budget")
-                            row[key] = cand
-                        else:
-                            row[key] = add(current, cand)
-                if row:
-                    table[mask] = row
-            live.append(resident - below)
-        value = self.sr.add_many(table.get((1 << self.n) - 1, {}).values())
-        kept = table if keep_all else []
-        return Run(np.array([value], dtype=object), np.array([updates]), np.array([live]), kept)
-
-    def walk(self, run: Run, labels: np.ndarray) -> tuple:
-        """An optimal order of a one-row ``keep_all`` run.
-
-        From the first key of the full mask that holds the run's value, each
-        step back takes the first step into the state, in the DP's order
-        (bits ascending, then the parent row's keys as stored), whose
-        product equals the state's value.
-        """
-        table, keep, mul = run.kept, self.degree - 1, self.sr.mul
-        mask = (1 << self.n) - 1
-        key = next(key for key, value in table[mask].items() if value == run.values[0])
-        order = []
-        while mask:
-            value = table[mask][key]
-            last, key = next(
-                (last, pkey)
-                for last in range(self.n)
-                if mask >> last & 1
-                for pkey, pvalue in table.get(mask ^ 1 << last, {}).items()
-                if ((pkey + (last,))[-keep:] if keep else ()) == key
-                and mul(pvalue, self.cost_fn(mask, pkey + (last,))) == value
-            )
-            order.append(last)
-            mask ^= 1 << last
-        return tuple(reversed(order))
 
 
 # ---------------------------------------------------------------------------
@@ -380,19 +262,10 @@ def _tuple_labels(covers: list[PermutationCover], lo: int, hi: int) -> np.ndarra
     return np.hstack(rows)
 
 
-def _relabel(family: np.ndarray, inv: np.ndarray) -> np.ndarray:
-    """The masks of ``family`` with each bit x moved to bit inv[x]."""
-    out = np.zeros_like(family)
-    for x, y in enumerate(inv.tolist()):
-        out |= ((family >> np.uint64(x)) & np.uint64(1)) << np.uint64(y)
-    return out
-
-
 def _solve(problem, budget, family, covers, t0) -> SolveResult:
-    """Sweep the tuples of the groups' ``covers`` over ``family`` on the problem's engine.
+    """Sweep the tuples of the groups' ``covers`` over ``family`` on one plan of it.
 
-    The array kernel runs problems with an array form, the callback DP any
-    other.  Tuples run in batches that keep two layers, and the first best
+    Tuples run in batches that keep two layers, and the first best
     one is re-run keeping every layer for its witness; a lone tuple runs
     once, keeping every layer, and that run gives both.  A semiring whose
     addition is not idempotent has no optimal order, so no witness.  The
@@ -401,10 +274,7 @@ def _solve(problem, budget, family, covers, t0) -> SolveResult:
     sr = problem.semiring
     tuples = prod(map(len, covers))
     stats = SolveStats(cover_product_size=tuples)
-    if problem.arrays is not None:
-        dp = ArrayDP(problem.arrays, family, problem.n, problem.degree, budget)
-    else:
-        dp = _CallbackDP(problem, family, budget)
+    dp = ArrayDP(problem, family, budget)
 
     def account(run) -> int:
         stats.total_dp_updates += int(run.updates.sum())
@@ -452,9 +322,8 @@ def solve_chain_tradeoff(
     For every order of [N] some cover tuple relabels each of its prefixes
     into the product A^(s-1) x A|[r], so the per-tuple results, combined
     with the idempotent addition, give the optimum.  Every tuple's admissible
-    masks are that product relabelled, so a problem with an array form
-    sweeps the tuples in batches over one plan of it; any other runs the
-    callback DP per tuple on the relabelled masks.
+    masks are that product relabelled, so the tuples run in batches over
+    one plan of it.
     """
     sr = problem.semiring
     if not sr.idempotent:

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from chaineff.cli import run
 
@@ -382,3 +384,111 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys, argv):
         assert run(argv) == 0
         assert "usage:" in capsys.readouterr().out
+
+
+# Tokens near the readers' edges: counts past 64, negative and huge
+# integers, inf, words, and the set-system reader's "-" for the empty set.
+_JUNK = st.sampled_from(["-1", "inf", "x", "-", "1e3", "64", "65", ""])
+_JUNK |= st.integers(2**62, 2**66).map(str)
+
+
+@st.composite
+def _texts(draw, shape):
+    """Bytes shaped like a reader's input, now and then broken.
+
+    "square" is a count n and n rows of n tokens (a TSP matrix); "pairs" a
+    header "n m" and m lines of two (a graph or a poset); "lines" a header
+    "n k" and k lines of up to three (a set system).  Half the texts hold
+    weights below 10 or elements below n only.  In the others a header
+    field is junk one time in five and any other token one time in ten.
+    One text in ten is raw bytes.
+    """
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.binary(max_size=40))
+    n = draw(st.integers(0, 7))
+    broken = draw(st.booleans())
+    token = st.integers(0, 9 if shape == "square" else max(n - 1, 0)).map(str)
+    if broken:
+        token = st.one_of(*[token] * 9, _JUNK)
+    count = n if shape == "square" else draw(st.integers(0, 7))
+    lines = []
+    for _ in range(count):
+        width = {"square": n, "pairs": 2}.get(shape) or draw(st.integers(0, 3))
+        lines.append(" ".join(draw(st.lists(token, min_size=width, max_size=width))))
+    header = [str(n)] if shape == "square" else [str(n), str(count)]
+    if broken:
+        header = [draw(st.one_of(*[st.just(field)] * 4, _JUNK)) for field in header]
+    return "\n".join([" ".join(header), *lines]).encode()
+
+
+# A builtin name: a known or unknown kind, then ':'-separated fields,
+# mostly small integers, some of them comma lists.  ``ideals:`` wraps
+# another name.
+_FIELD = st.one_of(
+    *[st.integers(1, 8).map(str)] * 4,
+    st.integers(-1, 12).map(str),
+    st.sampled_from(["32", "64", "65", "", "x", "0,1", "1,3,5", "0,,1"]),
+)
+_KINDS = ["circulant", "matchcomp", "bucket", "tower", "counterexample"]
+_KINDS += ["ideals:matchcomp", "ideals:tower", "?"]
+_NAMES = st.builds(
+    lambda kind, fields: ":".join([kind, *fields]),
+    st.sampled_from(_KINDS),
+    st.lists(_FIELD, max_size=3),
+)
+
+_FUZZ = settings(max_examples=80, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestInputBoundary:
+    """Any file or builtin name either succeeds or exits 2 or 3 with one line
+    on stderr.  The budget keeps every example to a few MB."""
+
+    def check(self, capsys, argv):
+        code = run(["--memory-budget", "100000", *argv])
+        captured = capsys.readouterr()
+        assert code in (0, 2, 3)
+        if code:
+            assert "Traceback" not in captured.err
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+        else:
+            assert captured.err == ""
+            assert isinstance(json.loads(captured.out), dict)
+
+    def write(self, tmp_path, data):
+        f = tmp_path / "input.txt"
+        f.write_bytes(data)
+        return str(f)
+
+    @_FUZZ
+    @given(data=_texts("square"), algo=st.sampled_from(["held-karp", "gs"]))
+    def test_tsp_reader(self, capsys, tmp_path, data, algo):
+        self.check(capsys, ["solve", "tsp", "--matrix", self.write(tmp_path, data), "--algo", algo])
+
+    @_FUZZ
+    @given(data=_texts("pairs"))
+    def test_dfas_reader(self, capsys, tmp_path, data):
+        graph = self.write(tmp_path, data)
+        self.check(capsys, ["solve", "dfas", "--graph", graph, "--algo", "held-karp"])
+
+    @_FUZZ
+    @given(data=_texts("lines"), command=st.sampled_from([["chains"], ["efficiency"]]))
+    # an element below a universe past 64 is not shifted into a mask
+    @example(data=b"99999999999999999999 1\n99999999999999999998\n", command=["chains"])
+    def test_setsystem_reader(self, capsys, tmp_path, data, command):
+        self.check(capsys, [*command, "--setsystem", self.write(tmp_path, data)])
+
+    @_FUZZ
+    @given(data=_texts("pairs"), kind=st.sampled_from(["ideals", "extensions"]))
+    def test_poset_reader(self, capsys, tmp_path, data, kind):
+        self.check(capsys, ["count", kind, "--poset", self.write(tmp_path, data)])
+
+    @_FUZZ
+    @given(
+        name=_NAMES,
+        command=st.sampled_from(
+            [["count", "ideals"], ["count", "extensions"], ["efficiency"], ["chains"]]
+        ),
+    )
+    def test_builtin_grammar(self, capsys, name, command):
+        self.check(capsys, [*command, "--builtin", name])

@@ -3,6 +3,7 @@
 import importlib
 import random
 import sys
+import tracemalloc
 from itertools import permutations
 from math import factorial
 
@@ -487,6 +488,39 @@ class TestLayerKernel:
         assert len(enumerate_ideals(p, memory_budget=16383)) == 16383
         with pytest.raises(ResourceLimit):
             enumerate_ideals(p, memory_budget=16382)
+
+    def test_next_layer_refused_before_its_edges(self):
+        # 64 incomparable elements: layers of C(64, k) ideals, each with k
+        # parents, so the bound E / (k + 1) on the next layer is exact.  Up
+        # to layer 2 there are 2,081 ideals, and layer 3 holds 41,664 with
+        # 124,992 edges into it.
+        p = make_antichain(64)
+        with pytest.raises(ResourceLimit, match="43745 ideals and at least 635376 in the next"):
+            count_ideals(p, memory_budget=2081 + 41664)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match="at least 41664 in the next layer"):
+                count_ideals(p, memory_budget=2081 + 41663)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 124992 * 8
+
+    def test_edges_past_physical_memory_are_refused(self, monkeypatch):
+        # the same layer 3 under the default budget, on a machine whose
+        # memory holds one edge fewer than its 124,992 edges need
+        p = make_antichain(64)
+        monkeypatch.setattr(
+            chaineff.poset, "physical_bytes", lambda: chaineff.poset._EDGE_BYTES * 124991
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit, match="124992 next-layer edges pass physical memory"):
+                count_ideals(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 124992 * 8
 
 
 class TestDefaultMethods:

@@ -223,6 +223,12 @@ class TestMaskArray:
         with pytest.raises(ValueError):
             a.masks[0] = 1
 
+    def test_no_member_tuple_unless_asked(self):
+        a, b = tower_of_cubes(8, 2), tower_of_cubes(8, 2)
+        assert len(a) == 511 and a == b and hash(a) == hash(b) and a != tower_of_cubes(2, 8)
+        assert "members" not in vars(a) and "members" not in vars(b)
+        assert a.members == tuple(a.masks.tolist())
+
     def test_membership_after_the_lazy_build(self):
         a = tower_of_cubes(8, 8)
         assert "_member_set" not in vars(a)

@@ -9,6 +9,8 @@ from itertools import combinations, permutations
 from math import ceil, comb, factorial, log2, perm
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chaineff.cover import greedy_cover, randomized_cover
 from chaineff.errors import InvalidInstance, ResourceLimit, UnsupportedSemiring
@@ -28,7 +30,7 @@ from chaineff.semiring import (
 )
 import numpy as np
 
-from chaineff.arraydp import SCRATCH_ENTRIES, ArrayDP, build_plan
+from chaineff.arraydp import SCRATCH_ENTRIES, ArrayDP, _relabel, build_plan
 from chaineff.setsystem import (
     cartesian_power,
     from_poset_ideals,
@@ -40,7 +42,6 @@ from chaineff.setsystem import (
 from chaineff.solver import (
     SolveStats,
     _footprint,
-    _CallbackDP,
     solve_chain_tradeoff,
     solve_gurevich_shelah,
     solve_held_karp,
@@ -377,9 +378,9 @@ class TestStateSpace:
 def _subset_dp(n, degree, sr, cost_fn, masks_by_popcount, budget, stats, want_parents):
     """The callback DP with parent pointers; returns (table, parents).
 
-    The reference for ``_CallbackDP``: ``parents[mask]`` maps each key to
-    the (last, parent key) step that produced its value, moved only on a
-    strict improvement.  Without parent pointers the rows of popcount
+    The reference for ``ArrayDP`` on the cost oracle: ``parents[mask]``
+    maps each key to the (last, parent key) step that produced its value,
+    moved only on a strict improvement.  Without parent pointers the rows of popcount
     k - 2 are dropped before layer k is built.
     """
     keep = degree - 1
@@ -508,7 +509,7 @@ class TestLiveLayers:
     """A run that keeps no layer for the witness holds only the two in use."""
 
     def dp(self, prob, budget):
-        return _CallbackDP(prob, np.arange(1 << prob.n, dtype=np.uint64), budget)
+        return ArrayDP(prob, np.arange(1 << prob.n, dtype=np.uint64), budget)
 
     @pytest.mark.parametrize("degree", [1, 2, 3])
     def test_peak_is_two_largest_consecutive_layers(self, degree):
@@ -517,9 +518,7 @@ class TestLiveLayers:
         dp = self.dp(prob, 1 << 20)
         identity = np.arange(n)[None]
         full, lean = dp.run(identity, keep_all=True), dp.run(identity)
-        layers = [0] * (n + 1)
-        for mask, row in full.kept.items():
-            layers[mask.bit_count()] += len(row)
+        layers = [1] + [int(np.count_nonzero(vals[0] != INF)) for _, vals in full.kept]
         assert full.peak() == sum(layers)
         assert lean.peak() == max(layers[k - 1] + layers[k] for k in range(1, n + 1))
         assert lean.live.tolist() == full.live.tolist() == [layers]
@@ -534,14 +533,18 @@ class TestLiveLayers:
         assert full.peak() == full_stats.peak_resident_entries
         assert lean.peak() == lean_stats.peak_resident_entries
 
-    def test_budget_counts_live_entries(self):
+    def test_budget_holds_the_plan_and_two_dense_layers(self):
         n = 7
         prob = PermutationProblem(n=n, degree=1, semiring=MIN_PLUS, cost_fn=lambda m, w: 1)
         identity = np.arange(n)[None]
+        dp = self.dp(prob, 1 << 20)
         two_layers = max(comb(n, k - 1) + comb(n, k) for k in range(1, n + 1))
-        assert self.dp(prob, two_layers).run(identity).values[0] == n
+        assert dp.plan_entries == n << (n - 1) and dp.entries(False) == two_layers
+        fits = dp.plan_entries + two_layers
+        assert dp.batch_size(1, fits, keep_all=False) == 1
+        assert dp.run(identity).values[0] == n
         with pytest.raises(ResourceLimit):
-            self.dp(prob, two_layers - 1).run(identity)
+            dp.batch_size(1, fits - 1, keep_all=False)
 
 
 class TestWallTime:
@@ -669,7 +672,7 @@ class TestArrayKernel:
         prob = tsp_as_permutation_problem(random_tsp(random.Random(5), 8))
         system = tower_of_cubes(2, 2)
         family = product_family([system, restriction(system, 3)])
-        dp = ArrayDP(prob.arrays, family, prob.n, prob.degree, DEFAULT_MEMORY_BUDGET)
+        dp = ArrayDP(prob, family, DEFAULT_MEMORY_BUDGET)
         for keep_all in (False, True):
             fits = dp.plan_entries + dp.entries(keep_all)
             assert dp.batch_size(18, fits, keep_all) == 1
@@ -704,8 +707,9 @@ class TestRemainders:
         "tower13-g2": (tower_of_cubes(1, 3), 2),
         "ideals7": (from_poset_ideals(Poset(7, [(0, 1), (0, 2), (3, 4), (5, 6)])), 1),
     }
-    # on the callback DP these two take about 80 s together, most of it at
-    # r = n (4,900 random-cover tuples over 12 elements for tower13-g2)
+    # on the cost oracle these two take about 100 s together on a 2-core
+    # VM, 63 s of it in ideals7 with random covers (the dict DP this path
+    # replaced took about 130 s)
     EXTENDED_ONLY = {("tower13-g2", "callback"), ("ideals7", "callback")}
 
     @pytest.mark.parametrize("engine", ["array", "callback"])
@@ -790,3 +794,81 @@ class TestPowerSetIsHeldKarp:
                 )
                 assert res.stats.cover_product_size == 1
                 assert res.stats.witness_peak_entries == 0
+
+
+@st.composite
+def engine_cases(draw):
+    """A family over [n] that holds the empty set and [n], a labelling, and
+    a problem of degree 1..4 on table costs: min-plus with INF, boolean, or
+    sum-product.  The family is the prefixes of a few orders, which make
+    [n] reachable, and random masks, which may not."""
+    n = draw(st.integers(1, 6))
+    family = {0, (1 << n) - 1} | draw(st.sets(st.integers(0, (1 << n) - 1), max_size=40))
+    for order in draw(st.lists(st.permutations(range(n)), max_size=4)):
+        family |= {sum(1 << v for v in order[:j]) for j in range(n)}
+    family = np.array(sorted(family), dtype=np.uint64)
+    inv = np.array(draw(st.permutations(range(n))))
+    degree = draw(st.integers(1, 4))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["min-plus", "boolean", "sum-product"]))
+    if kind == "min-plus":
+        prob = table_problem(rng, n, degree)
+    elif kind == "boolean":
+        prob = boolean_problem(rng, n, degree)
+    else:
+        windows = [w for r in range(1, degree + 1) for w in permutations(range(n), r)]
+        counts = {w: rng.randint(0, 2) for w in windows}
+        prob = PermutationProblem(
+            n=n, degree=degree, semiring=SUM_PRODUCT, cost_fn=lambda m, w: counts[w]
+        )
+    return prob, family, inv
+
+
+class TestOneEngine:
+    """The plan's DP on the cost oracle against the parent-pointer DP over
+    the same masks, for every degree and semiring."""
+
+    @given(engine_cases())
+    def test_matches_parent_pointer_dp(self, case):
+        prob, family, inv = case
+        n, sr = prob.n, prob.semiring
+        calls = []
+
+        def counted(mask, window):
+            calls.append(1)
+            return prob.cost_fn(mask, window)
+
+        dp = ArrayDP(dataclasses.replace(prob, cost_fn=counted), family, 1 << 20)
+        full = dp.run(inv[None], keep_all=True)
+        assert len(calls) == full.updates[0]
+        lean = dp.run(inv[None])
+        masks = [[] for _ in range(n + 1)]
+        for mask in _relabel(family, inv[None])[0].tolist():
+            masks[mask.bit_count()].append(mask)
+        args = (n, prob.degree, sr, prob.cost_fn, masks, 1 << 20)
+        full_ref, lean_ref = SolveStats(), SolveStats()
+        table, parents = _subset_dp(*args, full_ref, want_parents=True)
+        _subset_dp(*args, lean_ref, want_parents=False)
+        value, key = _final_value(table, (1 << n) - 1, sr)
+        assert full.values[0] == lean.values[0] == value
+        assert full.updates[0] == lean.updates[0] == full_ref.total_dp_updates
+        assert full.peak() == full_ref.peak_resident_entries
+        assert lean.peak() == lean_ref.peak_resident_entries
+        if sr.idempotent and value != sr.zero:
+            assert dp.walk(full, inv) == _reconstruct(parents, (1 << n) - 1, key)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_witness_does_not_depend_on_the_cost_source(self, seed):
+        # a random cover relabels the plan, so tied optimal orders must be
+        # broken in the problem's labels for the two sources to agree
+        rng = random.Random(800 + seed)
+        n = rng.randint(5, 6)
+        for prob in (
+            tsp_as_permutation_problem(zero_inf_tsp(rng, n + 1)),
+            dfas_as_permutation_problem(parallel_arc_dfas(rng, n)),
+        ):
+            tables, oracle = (
+                solve_chain_tradeoff(p, full_power_set(3), 1, "random", seed)
+                for p in (prob, callback_only(prob))
+            )
+            assert tables.witness == oracle.witness
