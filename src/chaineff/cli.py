@@ -22,6 +22,7 @@ from .errors import ChainEffError, ResourceLimit
 from .poset import (
     DEFAULT_MEMORY_BUDGET,
     count_ideals,
+    count_ideals_and_extensions,
     count_linear_extensions,
     default_count_methods,
     make_bucket_order,
@@ -90,7 +91,7 @@ def _parse_builtin(name: str, memory_budget: int = DEFAULT_MEMORY_BUDGET):
         if kind == "counterexample":
             return "poset", make_counterexample()
         if kind == "tower":
-            return "setsystem", tower_of_cubes(int(parts[1]), int(parts[2]))
+            return "setsystem", tower_of_cubes(int(parts[1]), int(parts[2]), memory_budget)
     except (IndexError, ValueError) as exc:
         raise ChainEffError(f"malformed builtin name {name!r}") from exc
     raise ChainEffError(f"unknown builtin {name!r}")
@@ -351,9 +352,8 @@ def _check_range(name: str, got: float, lo: float, hi: float) -> dict:
 
 def _verify_counterexample(args) -> int:
     p = make_counterexample()
-    alpha = count_ideals(p, "lattice", args.memory_budget)
-    lam = count_linear_extensions(p, "ideal-dp", args.memory_budget)
-    tower = tower_of_cubes(17, 2)
+    alpha, lam = count_ideals_and_extensions(p, args.memory_budget)
+    tower = tower_of_cubes(17, 2, args.memory_budget)
     chains = count_maximal_chains(tower)
     ratio = chains / lam
     checks = [

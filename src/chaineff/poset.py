@@ -544,20 +544,29 @@ def _count_extensions_brute(p: Poset, memory_budget: int) -> int:
     return count
 
 
-def _count_extensions_ideal_dp(p: Poset, memory_budget: int) -> int:
-    """Maximal chains of the ideal lattice, which are the linear extensions.
+def count_ideals_and_extensions(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):
+    """(alpha, lambda): the ideal and linear-extension counts of p, from one
+    walk of the ideal lattice.
 
-    The empty ideal counts 1, and every other ideal the sum of its parents'
-    counts, summed along the Hasse edges the enumeration yields, one limb
-    row at a time.  An ideal has at most 64 parents, so each limb sum is
-    exact; the last layer is the one ideal [n].
+    alpha is the sum of the layer sizes.  lambda counts the maximal chains
+    of the lattice, which are the linear extensions: the empty ideal counts
+    1, and every other ideal the sum of its parents' counts, summed along
+    the Hasse edges the walk yields, one limb row at a time.  An ideal has
+    at most 64 parents, so each limb sum is exact; the last layer is the one
+    ideal [n].  The walk is ``_ideal_layers``, so the budget and its
+    refusals are those of the ``lattice`` and ``ideal-dp`` methods.
     """
     layers = _ideal_layers(p, memory_budget)
-    next(layers)
+    alpha = next(layers)[0].size
     counts = np.ones((1, 1), dtype=np.uint64)
-    for _, src, starts in layers:
+    for layer, src, starts in layers:
+        alpha += layer.size
         counts = _carry(np.vstack([np.add.reduceat(row[src], starts) for row in counts]))
-    return _limbs_total(counts)
+    return alpha, _limbs_total(counts)
+
+
+def _count_extensions_ideal_dp(p: Poset, memory_budget: int) -> int:
+    return count_ideals_and_extensions(p, memory_budget)[1]
 
 
 def _prefix_dp(nx: int, needs, canon, memory_budget: int, name: str) -> int:
@@ -688,9 +697,13 @@ def poset_efficiency(
 ) -> EfficiencyReport:
     """Exact alpha, lambda, and 1/eta of the poset.
 
-    Precomputed counts can be passed in to avoid recounting.
+    Precomputed counts can be passed in to avoid recounting.  When neither
+    is and the methods are ``lattice`` and ``ideal-dp``, both counts come
+    from one walk of the ideal lattice.
     """
     ideal_method, ext_method = default_count_methods(p)
+    if alpha is None and lam is None and ext_method == "ideal-dp":
+        alpha, lam = count_ideals_and_extensions(p, memory_budget)
     if alpha is None:
         alpha = count_ideals(p, ideal_method, memory_budget)
     if lam is None:

@@ -107,7 +107,7 @@ def from_poset_ideals(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> S
     return SetSystem(p.n, enumerate_ideals(p, memory_budget))
 
 
-def tower_of_cubes(t: int, k: int) -> SetSystem:
+def tower_of_cubes(t: int, k: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> SetSystem:
     """All sets sandwiched between consecutive block-prefix unions.
 
     Block i covers indices [(i-1)t, it); members are prefix-union U_s plus
@@ -117,8 +117,7 @@ def tower_of_cubes(t: int, k: int) -> SetSystem:
         raise InvalidSize("tower needs t, k >= 1")
     if t * k > MAX_ELEMENTS:
         raise InvalidSize(f"universe {t * k} exceeds {MAX_ELEMENTS}")
-    if k * ((1 << t) - 1) + 1 > DEFAULT_MEMORY_BUDGET:
-        raise ResourceLimit("tower is too large to materialize")
+    check_family_size(k * ((1 << t) - 1) + 1, memory_budget, "tower")
     subsets = np.arange((1 << t) - 1, dtype=np.uint64)
     blocks = [np.uint64((1 << (s * t)) - 1) | (subsets << np.uint64(s * t)) for s in range(k)]
     members = np.concatenate([*blocks, np.array([(1 << (t * k)) - 1], dtype=np.uint64)])

@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from chaineff.cli import run
+from chaineff.efficiency import inv_eta_string
 
 FOUR_CITY_TEXT = "4\n0 1 2 3\n1 0 4 5\n2 4 0 6\n3 5 6 0\n"
 
@@ -100,6 +101,22 @@ class TestEfficiencyAndChains:
         assert run(["efficiency", "--builtin", name]) == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("name", ["bucket:4:3", "counterexample"])
+    def test_general_poset_efficiency_matches_the_separate_counts(self, capsys, name):
+        code, doc = run_json(capsys, ["efficiency", "--builtin", name])
+        assert code == 0
+        _, ideals = run_json(capsys, ["count", "ideals", "--builtin", name])
+        _, extensions = run_json(capsys, ["count", "extensions", "--builtin", name])
+        alpha, lam = ideals["value"], extensions["value"]
+        assert (doc["alpha"], doc["lambda"]) == (alpha, lam)
+        assert doc["inv_eta"] == inv_eta_string(doc["n"], int(alpha), int(lam))
+        assert doc["provenance"]["method"] == "ideals:lattice,extensions:ideal-dp"
+
+    def test_tower_past_the_memory_budget_exit_3(self, capsys):
+        # tower:20:2 has 2,097,151 members
+        assert run(["--memory-budget", "100000", "chains", "--builtin", "tower:20:2"]) == 3
+        assert_one_line_error(capsys, "resource limit: ")
+
     def test_chains_tower(self, capsys):
         code, doc = run_json(capsys, ["chains", "--builtin", "tower:3:2"])
         assert code == 0 and doc["value"] == "36"
@@ -183,6 +200,9 @@ class TestSolve:
         argv = ["solve", "tsp", "--matrix", str(f), "--algo", "tradeoff", "--builtin", "tower:2:2"]
         assert run(["--memory-budget", "2", *argv]) == 3
         assert "Traceback" not in capsys.readouterr().err
+        # the tower's 7 members fit, so the solver refuses its DP table
+        assert run(["--memory-budget", "7", *argv]) == 3
+        assert capsys.readouterr().err == "resource limit: DP table exceeds the memory budget\n"
 
     def test_tradeoff_on_an_ideal_family(self, capsys, tmp_path):
         f = tmp_path / "six.txt"
@@ -323,6 +343,13 @@ class TestVerify:
     def test_kp_baseline(self, capsys):
         code, doc = run_json(capsys, ["verify", "kp-baseline"])
         assert code == 0 and doc["status"] == "PASS"
+
+    def test_counterexample_tower_holds_the_memory_budget(self, capsys):
+        # alpha = 260,553 ideals fit; the tower of 17-cubes holds 262,143 members
+        code, doc = run_json(capsys, ["--memory-budget", "262143", "verify", "counterexample"])
+        assert code == 0 and doc["status"] == "PASS"
+        assert run(["--memory-budget", "262142", "verify", "counterexample"]) == 3
+        assert_one_line_error(capsys, "resource limit: tower: 262143 masks")
 
     def test_power_identity(self, capsys):
         code, doc = run_json(capsys, ["verify", "power-identity"])

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaineff.poset
+from chaineff import cli
 from chaineff.errors import InvalidInstance, MethodMismatch, ResourceLimit
 from chaineff.poset import (
     DEFAULT_MEMORY_BUDGET,
@@ -21,6 +22,7 @@ from chaineff.poset import (
     Poset,
     closed_form_matching_complement,
     count_ideals,
+    count_ideals_and_extensions,
     count_linear_extensions,
     default_count_methods,
     enumerate_ideals,
@@ -444,6 +446,43 @@ class TestLayerKernel:
                     if ideal >> v & 1 and p.succ_mask[v] & ideal == 0
                 ]
                 assert sorted(parents.tolist()) == sorted(expect)
+
+    @settings(max_examples=60)
+    @given(posets(max_n=16))
+    def test_one_walk_matches_the_separate_counts_property(self, p):
+        alpha, lam = count_ideals_and_extensions(p)
+        assert alpha == count_ideals(p, "lattice") == len(bfs_ideals(p))
+        assert lam == dict_ideal_dp(p)
+        if p.n <= 8:
+            assert lam == count_linear_extensions(p, "brute")
+        # the same walk, so the same refusal one ideal short of alpha
+        with pytest.raises(ResourceLimit) as joint:
+            count_ideals_and_extensions(p, memory_budget=alpha - 1)
+        with pytest.raises(ResourceLimit) as alone:
+            count_ideals(p, "lattice", memory_budget=alpha - 1)
+        assert str(joint.value) == str(alone.value)
+        assert count_ideals_and_extensions(p, memory_budget=alpha) == (alpha, lam)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: cli.run(["verify", "counterexample"]) == 0,
+            lambda: poset_efficiency(make_bucket_order(4, 3)).inv_eta == "4.52308665836",
+        ],
+        ids=["verify-counterexample", "efficiency-bucket4x3"],
+    )
+    def test_alpha_and_lambda_take_one_lattice_walk(self, monkeypatch, capsys, call):
+        walks = []
+        walk = chaineff.poset._ideal_layers
+
+        def counted(*args):
+            walks.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(chaineff.poset, "_ideal_layers", counted)
+        assert call()
+        capsys.readouterr()
+        assert len(walks) == 1
 
     @pytest.mark.parametrize("seed", range(12))
     def test_limbs_match_object_kernel_on_posets(self, seed):

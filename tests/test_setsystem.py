@@ -7,7 +7,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from chaineff.errors import InvalidSize
+import chaineff.setsystem
+from chaineff.errors import InvalidSize, ResourceLimit
 from chaineff.poset import Poset, count_linear_extensions, make_chain
 from chaineff.setsystem import (
     SetSystem,
@@ -119,6 +120,15 @@ class TestChainCounting:
     def test_tower_size(self):
         for t, k in [(2, 2), (3, 2), (17, 2)]:
             assert len(tower_of_cubes(t, k).members) == k * (2**t - 1) + 1
+
+    def test_tower_size_is_checked_against_the_budget(self, monkeypatch):
+        # tower:4:2 has 31 members
+        assert len(tower_of_cubes(4, 2, memory_budget=31)) == 31
+        with pytest.raises(ResourceLimit, match="tower: 31 masks exceed the memory budget"):
+            tower_of_cubes(4, 2, memory_budget=30)
+        monkeypatch.setattr(chaineff.setsystem, "physical_bytes", lambda: 8 * 30)
+        with pytest.raises(ResourceLimit, match="over physical memory"):
+            tower_of_cubes(4, 2)
 
     @pytest.mark.parametrize("t,k", [(1, 1), (3, 2), (2, 3), (1, 64), (8, 8), (16, 4)])
     def test_tower_members_match_set_construction(self, t, k):
