@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from math import comb, factorial
 
 import mpmath
@@ -455,7 +456,12 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_BAD_INPUT)
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``run`` and reused by later ones.  No
+    default is mutable and each ``func`` is a command function that looks
+    its library names up at call time, so reuse carries nothing between
+    calls."""
     parser = _Parser(prog="chaineff")
     parser.add_argument(
         "--memory-budget",

@@ -7,6 +7,7 @@ Composition is fixed as (pi' . pi)(i) = pi'(pi(i)) throughout.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 from math import factorial, log
 
@@ -15,8 +16,8 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidPermutation, NoChains, ResourceLimit
 from .setsystem import SetSystem, count_maximal_chains  # noqa: F401 (bench/spans.py wraps it here)
 
-# covers are built and verified over all of S_n, and ``_ranks`` keeps the
-# used images of a permutation in a uint8 bitmask
+# covers are built and verified over all of S_n, and ``_ranks`` looks ranks
+# up in a table of n^(n-1) int32 entries: 8 MB at n = 8, 470 KB at n = 7
 MAX_N = 8
 # permutation entries composed in one numpy pass; bounds the scratch arrays,
 # about 1 MB for verify_cover at n = 7
@@ -67,30 +68,39 @@ def cover_size_bound(n: int, chains: int) -> float:
 # ---------------------------------------------------------------------------
 # S_n as arrays: a permutation is a uint8 row of images, and its rank is its
 # lexicographic index, the order ``itertools.permutations`` yields.  Row r of
-# ``_all_permutations(n)`` has rank r.
+# ``_all_permutations(n)`` has rank r.  Both tables are built once per n, on
+# first use.
 
 
+@cache
 def _all_permutations(n: int):
-    return np.array(list(permutations(range(n))), dtype=np.uint8).reshape(-1, n)
+    table = np.array(list(permutations(range(n))), dtype=np.uint8).reshape(-1, n)
+    table.flags.writeable = False
+    return table
+
+
+@cache
+def _rank_table(n: int):
+    """int32 lexicographic rank of each permutation of [n], indexed by its
+    ``_codes`` value; n^(n-1) entries, 8 MB at n = 8."""
+    perms = _all_permutations(n)
+    table = np.zeros(n ** (n - 1), dtype=np.int32)
+    table[_codes(perms)] = np.arange(len(perms), dtype=np.int32)
+    table.flags.writeable = False
+    return table
+
+
+def _codes(perms):
+    """A row's first n - 1 images read as base-n digits, least significant
+    first; the last image is implied, so distinct permutations get distinct
+    codes below n^(n-1)."""
+    n = perms.shape[1]
+    return perms[:, :-1] @ n ** np.arange(n - 1, dtype=np.intp)
 
 
 def _ranks(perms):
-    """int32 lexicographic ranks of the rows of a uint8 permutation table.
-
-    The Lehmer digit of position i counts the images after i that are
-    smaller, i.e. perms[i] minus the smaller images already used; the rank
-    sums digit_i * (n - 1 - i)!, accumulated in Horner form.  The used
-    images are a uint8 bitmask, so n <= 8.
-    """
-    k, n = perms.shape
-    rank = np.zeros(k, dtype=np.int32)
-    used = np.zeros(k, dtype=np.uint8)
-    for i in range(n - 1):
-        bit = np.left_shift(np.uint8(1), perms[:, i])
-        digit = perms[:, i] - np.bitwise_count(used & (bit - np.uint8(1)))
-        used |= bit
-        rank = rank * (n - i) + digit
-    return rank
+    """int32 lexicographic ranks of the rows of a uint8 permutation table."""
+    return _rank_table(perms.shape[1])[_codes(perms)]
 
 
 def _chain_table(a: SetSystem):
@@ -149,9 +159,12 @@ def greedy_cover(a: SetSystem) -> PermutationCover:
 
 # ---------------------------------------------------------------------------
 # Seeded random permutations: splitmix64 feeding Fisher-Yates, so covers are
-# bit-reproducible across platforms.
+# bit-reproducible across platforms.  The scalar generator draws one value
+# at a time; ``random_permutations`` draws a block of rows from the same
+# stream.
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -159,7 +172,7 @@ class SplitMix64:
         self.state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
+        self.state = (self.state + _GAMMA) & _MASK64
         z = self.state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -174,12 +187,47 @@ class SplitMix64:
                 return v % bound
 
 
-def random_permutation(n: int, rng: SplitMix64) -> tuple:
-    out = list(range(n))
-    for i in range(n - 1, 0, -1):
-        j = rng.below(i + 1)
-        out[i], out[j] = out[j], out[i]
-    return tuple(out)
+def _outputs(state: int, k: int):
+    """The k SplitMix64 outputs after ``state``, as a uint64 array: the i-th
+    one is mix(state + i * gamma), so they need no loop."""
+    z = np.uint64(state) + np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def random_permutations(n: int, count: int, rng: SplitMix64):
+    """``count`` uniform permutations of [n] as uint8 rows.
+
+    Each row is Fisher-Yates over ``rng.below``: position i swaps with
+    below(i + 1) for i = n - 1 down to 1.  The draws of all rows come from
+    one block of outputs, and ``rng.state`` ends where those ``below`` calls
+    would leave it.
+    """
+    bounds = np.tile(np.arange(n, 1, -1, dtype=np.uint64), count)
+    # below(b) rejects the outputs above 2^64 - 1 - (2^64 mod b), and the
+    # stream after a rejection shifts by one; for b <= 8 that is a chance
+    # below 2^-61 per draw
+    limits = np.uint64(_MASK64) - (np.uint64(_MASK64) % bounds + np.uint64(1)) % bounds
+    values = np.empty(len(bounds), dtype=np.uint64)
+    done = 0
+    while done < len(values):
+        v = _outputs(rng.state, len(values) - done)
+        rejected = np.flatnonzero(v > limits[done:])
+        kept = int(rejected[0]) if len(rejected) else len(v)
+        values[done : done + kept] = v[:kept]
+        done += kept
+        consumed = kept + 1 if len(rejected) else kept
+        rng.state = (rng.state + consumed * _GAMMA) & _MASK64
+    swaps = (values % bounds).astype(np.intp).reshape(count, n - 1)
+    out = np.tile(np.arange(n, dtype=np.uint8), (count, 1))
+    rows = np.arange(count)
+    for col, i in enumerate(range(n - 1, 0, -1)):
+        j = swaps[:, col]
+        held = out[:, i].copy()
+        out[:, i] = out[rows, j]
+        out[rows, j] = held
+    return out
 
 
 def randomized_cover(a: SetSystem, seed: int) -> PermutationCover:
@@ -203,13 +251,13 @@ def randomized_cover(a: SetSystem, seed: int) -> PermutationCover:
     rng = SplitMix64(seed)
     batch = -(-factorial(n) // len(chains))
     marked = np.zeros(factorial(n), dtype=bool)
-    drawn, blocks = [], []
+    batches, blocks = [], []
     while not marked.all():
-        draws = [random_permutation(n, rng) for _ in range(batch)]
-        for covered in _covered_ranks(np.array(draws, dtype=np.uint8), chains):
+        batches.append(random_permutations(n, batch, rng))
+        for covered in _covered_ranks(batches[-1], chains):
             marked[covered] = True
             blocks.append(covered)
-        drawn += draws
+    drawn = np.vstack(batches)
     rows = np.vstack(blocks)
     counts = np.bincount(rows.ravel(), minlength=len(marked))
     keep = np.ones(len(drawn), dtype=bool)
@@ -217,7 +265,7 @@ def randomized_cover(a: SetSystem, seed: int) -> PermutationCover:
         if counts[rows[i]].min() > 1:
             counts[rows[i]] -= 1
             keep[i] = False
-    perms = tuple(pi for pi, kept in zip(drawn, keep.tolist()) if kept)
+    perms = tuple(map(tuple, drawn[keep].tolist()))
     return PermutationCover(n=n, perms=perms, certified=True)
 
 

@@ -1,6 +1,10 @@
 """Command-line interface: grammar, JSON contract, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -9,6 +13,7 @@ from hypothesis import strategies as st
 from chaineff.cli import run
 from chaineff.efficiency import inv_eta_string
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 FOUR_CITY_TEXT = "4\n0 1 2 3\n1 0 4 5\n2 4 0 6\n3 5 6 0\n"
 
 
@@ -411,6 +416,49 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys, argv):
         assert run(argv) == 0
         assert "usage:" in capsys.readouterr().out
+
+
+class TestRunReuse:
+    """One process runs many commands through the same parser."""
+
+    def test_same_argv_same_stdout(self, capsys, tmp_path):
+        f = tmp_path / "four.txt"
+        f.write_text(FOUR_CITY_TEXT)
+        argv = ["solve", "tsp", "--matrix", str(f), "--algo", "tradeoff", "--builtin", "tower:2:2"]
+        outs = []
+        for _ in range(2):
+            assert run(argv) == 0
+            doc = json.loads(capsys.readouterr().out)
+            doc["stats"].pop("wallTime")
+            outs.append(doc)
+        assert outs[0] == outs[1]
+
+    def test_valid_call_after_usage_error(self, capsys):
+        # the failed call parses --strategy and --seed before its error
+        bad = ["cover", "--builtin", "tower:2:2", "--strategy", "random", "--seed", "5", "--x"]
+        assert run(bad) == 2
+        code, doc = run_json(capsys, ["cover", "--builtin", "tower:2:2"])
+        assert code == 0 and doc["certified"] is True
+        assert doc["provenance"]["method"] == "greedy"
+
+    def test_memory_budget_does_not_carry(self, capsys, tmp_path):
+        f = tmp_path / "four.txt"
+        f.write_text(FOUR_CITY_TEXT)
+        argv = ["solve", "tsp", "--matrix", str(f), "--algo", "held-karp"]
+        assert run(["--memory-budget", "2", *argv]) == 3
+        code, doc = run_json(capsys, argv)
+        assert code == 0 and doc["value"] == "14"
+
+    def test_parser_is_built_at_first_use(self):
+        # the parser is cached, but importing the CLI builds nothing
+        code = (
+            "import chaineff.cli as cli, chaineff.cover as cover;"
+            "print(cli._build_parser.cache_info().currsize,"
+            " cover._rank_table.cache_info().currsize)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.stdout.split() == ["0", "0"]
 
 
 # Tokens near the readers' edges: counts past 64, negative and huge

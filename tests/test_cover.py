@@ -4,6 +4,7 @@ import json
 import random
 from itertools import permutations
 from math import factorial, log
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from chaineff.cover import (
     chain_permutations,
     cover_size_bound,
     greedy_cover,
-    random_permutation,
+    random_permutations,
     randomized_cover,
     verify_cover,
 )
@@ -94,11 +95,58 @@ def random_ideal_family(rng, n):
     return from_poset_ideals(Poset(n, covers))
 
 
+GOLDEN = json.loads((Path(__file__).resolve().parent / "golden_covers.json").read_text())
+
+# The systems whose covers ``golden_covers.json`` pins, members written as
+# digit strings; the file was recorded from the per-permutation
+# implementation (scalar draws, Lehmer-code ranks).
+GOLDEN_SYSTEMS = {
+    "n1": lambda: SetSystem(1, [0, 1]),
+    "tower:2:2": lambda: tower_of_cubes(2, 2),
+    "tower:3:2": lambda: tower_of_cubes(3, 2),
+    "tower:2:3": lambda: tower_of_cubes(2, 3),
+    "tower:1:3^2": lambda: cartesian_power(tower_of_cubes(1, 3), 2),
+    "ideals:7:5": lambda: random_ideal_family(random.Random(5), 7),
+    "ideals:7:3": lambda: random_ideal_family(random.Random(3), 7),
+}
+
+MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def golden(perms):
+    return " ".join("".join(map(str, pi)) for pi in perms)
+
+
+def reference_permutation(n, rng):
+    """Scalar Fisher-Yates over ``rng.below``, the oracle for block draws."""
+    out = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.below(i + 1)
+        out[i], out[j] = out[j], out[i]
+    return tuple(out)
+
+
+def seed_with_output(value, index):
+    """A seed whose SplitMix64 stream yields ``value`` as its index-th output
+    (from 0): the finalizer is a bijection, so it is undone step by step."""
+
+    def unshift(y, s):
+        x = y
+        for _ in range(64 // s):
+            x = y ^ (x >> s)
+        return x
+
+    z = unshift(value, 31)
+    z = unshift(z * pow(0x94D049BB133111EB, -1, 1 << 64) & MASK64, 27)
+    z = unshift(z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & MASK64, 30)
+    return (z - (index + 1) * GAMMA) & MASK64
+
+
 class TestComposition:
     @pytest.mark.parametrize("seed", range(5))
     def test_inverse_law(self, seed):
-        rng = SplitMix64(seed)
-        pi = random_permutation(6, rng)
+        pi = tuple(random_permutations(6, 1, SplitMix64(seed))[0].tolist())
         assert compose(pi, invert(pi)) == tuple(range(6))
         assert compose(invert(pi), pi) == tuple(range(6))
 
@@ -172,6 +220,19 @@ class TestRanks:
         table = _all_permutations(6)
         order = np.random.default_rng(3).permutation(len(table))
         assert np.array_equal(_ranks(table[order]), order)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_random_rows_have_their_itertools_index(self, n):
+        index = {pi: r for r, pi in enumerate(permutations(range(n)))}
+        rows = np.random.default_rng(n).permuted(np.tile(np.arange(n), (300, 1)), axis=1)
+        rows = rows.astype(np.uint8)
+        expect = [index[tuple(row)] for row in rows.tolist()]
+        assert _ranks(rows).tolist() == expect
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_zero_rows(self, n):
+        ranks = _ranks(np.zeros((0, n), dtype=np.uint8))
+        assert ranks.shape == (0,) and ranks.dtype == np.int32
 
 
 class TestGreedyMatchesReference:
@@ -345,11 +406,74 @@ class TestSplitMix64:
         rng = SplitMix64(2718)
         trials = 24_000
         counts = {}
-        for _ in range(trials):
-            pi = random_permutation(4, rng)
+        for pi in map(tuple, random_permutations(4, trials, rng).tolist()):
             counts[pi] = counts.get(pi, 0) + 1
         assert len(counts) == 24
         expect = trials / 24
         sigma = (trials * (1 / 24) * (23 / 24)) ** 0.5
         for c in counts.values():
             assert abs(c - expect) < 5 * sigma
+
+
+class TestBlockDraws:
+    """Block draws are the scalar SplitMix64 stream fed to Fisher-Yates."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("seed", [0, 7, -1])
+    def test_blocks_equal_the_scalar_stream(self, n, seed):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        for count in (1, 3, 0, 64, 5):
+            rows = random_permutations(n, count, block)
+            assert rows.dtype == np.uint8 and rows.shape == (count, n)
+            expect = [reference_permutation(n, scalar) for _ in range(count)]
+            assert list(map(tuple, rows.tolist())) == expect
+            assert block.state == scalar.state
+
+    @pytest.mark.parametrize(
+        "n,index",
+        [(3, 0), (3, 4), (3, 5), (4, 0), (4, 1), (7, 12), (8, 8), (8, 9), (8, 10), (8, 75)],
+    )
+    def test_rejected_output_shifts_the_stream(self, n, index):
+        # 2^64 - 1 is rejected under every bound that is not a power of two
+        # (at n = 3, output 4 meets bound 3 and output 5 bound 2; at n = 8,
+        # outputs 8, 9, 10 and 75 meet bounds 7, 6, 5 and 3), and the block
+        # must skip it exactly where the scalar below() does
+        seed = seed_with_output(MASK64, index)
+        stream = SplitMix64(seed)
+        assert [stream.next_u64() for _ in range(index + 1)][index] == MASK64
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        rows = random_permutations(n, 12, block)
+        expect = [reference_permutation(n, scalar) for _ in range(12)]
+        assert list(map(tuple, rows.tolist())) == expect
+        assert block.state == scalar.state
+
+    def test_rejection_consumes_an_output(self):
+        # below(3) skips output 0 and returns output 1 mod 3
+        seed = seed_with_output(MASK64, 0)
+        assert SplitMix64(seed).next_u64() == MASK64
+        rng = SplitMix64(seed)
+        second = SplitMix64((seed + GAMMA) & MASK64).next_u64()
+        assert rng.below(3) == second % 3
+        assert rng.state == (seed + 2 * GAMMA) & MASK64
+        # a row of S_3 draws below(3) and below(2): three outputs in all
+        block = SplitMix64(seed)
+        random_permutations(3, 1, block)
+        assert block.state == (seed + 3 * GAMMA) & MASK64
+
+
+class TestGoldenCovers:
+    """Covers pinned from the per-permutation implementation."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN["greedy"]))
+    def test_greedy(self, name):
+        a = GOLDEN_SYSTEMS[name]()
+        assert golden(greedy_cover(a).perms) == GOLDEN["greedy"][name]
+
+    @pytest.mark.parametrize("key", sorted(GOLDEN["random"]))
+    def test_random(self, key):
+        name, seed = key.split()
+        a = GOLDEN_SYSTEMS[name]()
+        assert golden(randomized_cover(a, int(seed)).perms) == GOLDEN["random"][key]
+
+    def test_random_family_has_over_100_chains(self):
+        assert count_maximal_chains(GOLDEN_SYSTEMS["ideals:7:3"]()) > 100
