@@ -26,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimit
+from .poset import family_layers, fan_out, sorted_unique
 from .semiring import ARRAY_INF, INF, MIN_PLUS, ArrayCosts, PermutationProblem
 
 # entries of one (tuples, transitions) scratch array; bounds the batch size,
@@ -52,61 +53,46 @@ class _Layer:
 def build_plan(family: np.ndarray, n: int, degree: int, budget: int) -> list[_Layer]:
     """Layers 1..n of the DP over ``family`` (distinct uint64 masks over n elements).
 
-    A mask is reachable when a chain of members leads to it from the empty
-    set.  An edge (a reachable mask less one element) and a state on the
-    smaller mask make a transition into the state keyed by that state's
-    key with the element appended, cut to its last d - 1.  The states on a
-    mask are ordered by key, last element first, so the pairs of one edge
-    that share a new key are contiguous, and a mask's edges, in element
-    order, open its new states in that order without a sort.  Each
-    layer's candidates are scanned for edges in blocks of at most
-    SCRATCH_ENTRIES // n masks, and each block's transitions are charged
-    before the next block is scanned, so ResourceLimit is raised once
-    those stored would pass ``budget``, before the layer holding them is
-    built.
+    The empty set is the root whether or not the family holds it, and the
+    reachable masks and their edges are those of ``family_layers``.  An
+    edge (a reachable mask less one element) and a state on the smaller
+    mask make a transition into the state keyed by that state's key with
+    the element appended, cut to its last d - 1.  The states on a mask are
+    ordered by key, last element first, so the pairs of one edge that
+    share a new key are contiguous, and a mask's edges, in element order,
+    open its new states in that order without a sort.  Each layer's
+    transitions are counted from its edges and charged before they are
+    built, so ResourceLimit is raised once those stored would pass
+    ``budget``, before the layer holding them is built.
     """
     if n > 64:
         raise ResourceLimit("the DP plan holds masks of at most 64 elements")
-    family = np.sort(family)
-    pop = np.bitwise_count(family)
-    bits = np.left_shift(np.uint64(1), np.arange(n, dtype=np.uint64))
-    masks = np.zeros(1, dtype=np.uint64)  # reachable masks of the layer below
+    family = sorted_unique(np.concatenate([family, np.zeros(1, dtype=np.uint64)]))
+    family = family[np.argsort(np.bitwise_count(family), kind="stable")]
     below_mask = np.zeros(1, dtype=np.int64)  # degree >= 2: states' indices into ``masks``
     below_keys = np.zeros((1, 0), dtype=np.int64)  # degree >= 2: states' keys, last element last
-    block = max(1, SCRATCH_ENTRIES // n)  # candidate rows scanned at once
     stored = 0
     layers = []
-    for k in range(1, n + 1):
-        cand = family[pop == k] if len(masks) else family[:0]  # past an empty layer all are
+    edges = family_layers(family, n)
+    masks = next(edges)[0]  # reachable masks of the layer below
+    for k, (reached, up, opened) in enumerate(edges, 1):
+        n_below = len(masks) if degree == 1 else len(below_mask)
         if degree >= 2:
             # an edge's transitions leave the states on its parent mask
             first = np.searchsorted(below_mask, np.arange(len(masks) + 1))
-        edges = []
-        for b in range(0, max(len(cand), 1), block):  # an empty layer scans one empty block
-            rows, elem = np.nonzero((cand[b : b + block, None] & bits) != 0)
-            rows += b
-            parents = cand[rows] ^ bits[elem]
-            up = np.searchsorted(masks, parents)
-            hit = masks[np.minimum(up, len(masks) - 1)] == parents
-            up = up[hit]
-            stored += len(up) if degree == 1 else int((first[up + 1] - first[up]).sum())
-            if stored > budget:
-                raise ResourceLimit("DP plan exceeds the memory budget")
-            edges.append((rows[hit], elem[hit], up))
-        # edges, ordered by child mask
-        rows, elem, up = (np.concatenate(part) for part in zip(*edges))
-        reached, starts = np.unique(rows, return_index=True)
-        n_below = len(masks) if degree == 1 else len(below_mask)
-        masks = cand[reached]
-        if degree == 1:
-            pred, prev = up, np.full(len(up), n)
-        else:
             lo = first[up]
             counts = first[up + 1] - lo
-            opens = np.cumsum(counts) - counts  # each edge's first transition
-            pred = np.arange(counts.sum()) - np.repeat(opens - lo, counts)
+        stored += len(up) if degree == 1 else int(counts.sum())
+        if stored > budget:
+            raise ResourceLimit("DP plan exceeds the memory budget")
+        child = opened.searchsorted(np.arange(len(up)), side="right") - 1
+        elem = np.bitwise_count((reached[child] ^ masks[up]) - np.uint64(1)).astype(np.intp)
+        masks = reached
+        if degree == 1:
+            pred, starts, prev = up, opened, np.full(len(up), n)
+        else:
+            pred, opens = fan_out(lo, counts)
             prev = below_keys[pred, -1] if k > 1 else np.full(len(pred), n)
-            child = np.searchsorted(reached, rows)  # each edge's child mask
             elem = np.repeat(elem, counts)
             if degree == 2:
                 starts, below_mask, below_keys = opens, child, elem[opens, None]

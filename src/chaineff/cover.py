@@ -14,6 +14,7 @@ from math import factorial, log
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPermutation, NoChains, ResourceLimit
+from .poset import family_layers, fan_out
 from .setsystem import SetSystem, count_maximal_chains  # noqa: F401 (bench/spans.py wraps it here)
 
 # covers are built and verified over all of S_n, and ``_ranks`` looks ranks
@@ -32,27 +33,6 @@ class PermutationCover:
 
     def __len__(self):
         return len(self.perms)
-
-
-def chain_permutations(a: SetSystem):
-    """All permutations whose every prefix set is a member of A."""
-    n = a.n
-    if 0 not in a:
-        return []
-    out = []
-    stack = [(0, ())]
-    while stack:
-        mask, prefix = stack.pop()
-        if len(prefix) == n:
-            out.append(prefix)
-            continue
-        for v in range(n):
-            bit = 1 << v
-            if mask & bit:
-                continue
-            if (mask | bit) in a:
-                stack.append((mask | bit, prefix + (v,)))
-    return out
 
 
 def cover_size_bound(n: int, chains: int) -> float:
@@ -104,7 +84,24 @@ def _ranks(perms):
 
 
 def _chain_table(a: SetSystem):
-    return np.array(chain_permutations(a), dtype=np.uint8).reshape(-1, a.n)
+    """The chain permutations of A, as the rows of a uint8 table in no
+    particular order: the paths from the empty set along the Hasse edges
+    of ``family_layers``, where an edge appends its element to every path
+    that ends on its parent."""
+    layers = family_layers(a.masks, a.n)
+    below = next(layers)[0]
+    paths = np.zeros((below.size, 0), dtype=np.uint8)
+    # rows first[i] .. first[i] + sizes[i] - 1 end on below[i]
+    first, sizes = np.zeros(below.size, dtype=np.intp), np.ones(below.size, dtype=np.intp)
+    for layer, src, starts in layers:
+        counts = sizes[src]
+        rows, opens = fan_out(first[src], counts)
+        child = layer[starts.searchsorted(np.arange(src.size), side="right") - 1]
+        elem = np.bitwise_count((child ^ below[src]) - np.uint64(1))
+        paths = np.concatenate([paths[rows], elem.repeat(counts)[:, None]], axis=1)
+        first, sizes = opens[starts], np.add.reduceat(counts, starts)
+        below = layer
+    return paths
 
 
 def _covered_ranks(perms, chains):

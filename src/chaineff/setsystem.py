@@ -19,6 +19,7 @@ from .poset import (
     Poset,
     count_layer_chains,
     enumerate_ideals,
+    family_layers,
     physical_bytes,
 )
 
@@ -127,8 +128,7 @@ def tower_of_cubes(t: int, k: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -
 def count_maximal_chains(a: SetSystem) -> int:
     """Exact number of maximal chains: sequences from the empty set to the
     full universe, adding one element per step, all members of the family."""
-    ends = np.searchsorted(np.bitwise_count(a.masks), np.arange(a.n + 2))
-    return count_layer_chains(a.masks[ends[k] : ends[k + 1]] for k in range(a.n + 1))
+    return count_layer_chains(family_layers(a.masks, a.n))[1]
 
 
 def chain_efficiency(a: SetSystem, chains: int | None = None) -> EfficiencyReport:

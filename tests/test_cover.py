@@ -14,8 +14,8 @@ from chaineff.cover import (
     PermutationCover,
     SplitMix64,
     _all_permutations,
+    _chain_table,
     _ranks,
-    chain_permutations,
     cover_size_bound,
     greedy_cover,
     random_permutations,
@@ -23,10 +23,11 @@ from chaineff.cover import (
     verify_cover,
 )
 from chaineff.errors import InvalidPermutation
-from chaineff.poset import Poset
+from chaineff.poset import Poset, make_matching_complement
 from chaineff.setsystem import (
     SetSystem,
     cartesian_power,
+    chain_correspondence,
     count_maximal_chains,
     from_poset_ideals,
     full_power_set,
@@ -46,9 +47,18 @@ def invert(pi):
     return tuple(inv)
 
 
+def oracle_chains(a):
+    """The chain permutations of A, each permutation of [n] tested apart."""
+    return [pi for pi in permutations(range(a.n)) if chain_correspondence(a, pi)]
+
+
+def table_rows(table):
+    return {tuple(row) for row in table.tolist()}
+
+
 def brute_is_cover(a, perms):
     """Independent oracle: every permutation must be covered directly."""
-    chains = set(chain_permutations(a))
+    chains = set(oracle_chains(a))
     for pi in permutations(range(a.n)):
         if not any(compose(pp, pi) in chains for pp in perms):
             return False
@@ -62,7 +72,7 @@ def reference_greedy(a):
     uncovered set on each pick; the strict ``>`` keeps the lexicographically
     smallest candidate among equal gains.
     """
-    chains = chain_permutations(a)
+    chains = oracle_chains(a)
     all_perms = list(permutations(range(a.n)))
     index = {pi: i for i, pi in enumerate(all_perms)}
     candidates = [
@@ -159,11 +169,41 @@ class TestComposition:
 class TestChainPermutations:
     def test_power_set_has_all(self):
         a = full_power_set(4)
-        assert len(set(chain_permutations(a))) == factorial(4)
+        assert len(table_rows(_chain_table(a))) == factorial(4)
 
     def test_single_chain_single_perm(self):
         a = SetSystem(3, [0, 0b10, 0b110, 0b111])
-        assert list(chain_permutations(a)) == [(1, 2, 0)]
+        assert _chain_table(a).tolist() == [[1, 2, 0]]
+
+    @pytest.mark.parametrize(
+        "shape",
+        ["random", "no empty set", "no full set", "empty middle layer", "sparse"],
+    )
+    @pytest.mark.parametrize("seed", range(6))
+    def test_rows_are_the_chain_permutations(self, shape, seed):
+        rng = random.Random(f"{shape} {seed}")
+        n = rng.randint(1, 7)
+        full = (1 << n) - 1
+        keep = 0.3 if shape == "sparse" else 0.7
+        members = {0, full} | {s for s in range(1 << n) if rng.random() < keep}
+        if shape == "no empty set":
+            members.discard(0)
+        elif shape == "no full set":
+            members.discard(full)
+        elif shape == "empty middle layer":
+            members = {s for s in members if s.bit_count() != n // 2}
+        a = SetSystem(n, members)
+        table = _chain_table(a)
+        assert table.dtype == np.uint8 and table.shape == (count_maximal_chains(a), n)
+        assert table_rows(table) == set(oracle_chains(a))
+        if shape in ("no empty set", "no full set", "empty middle layer"):
+            assert table.shape == (0, n)
+
+    def test_matching_complement_of_six(self):
+        a = from_poset_ideals(make_matching_complement(6))
+        table = _chain_table(a)
+        assert table.shape == (604800, 12)
+        assert len(np.unique(table, axis=0)) == 604800 == count_maximal_chains(a)
 
 
 class TestGreedyCover:

@@ -26,6 +26,7 @@ from chaineff.poset import (
     count_linear_extensions,
     default_count_methods,
     enumerate_ideals,
+    family_layers,
     make_antichain,
     make_bucket_order,
     make_chain,
@@ -448,6 +449,18 @@ class TestLayerKernel:
                 assert sorted(parents.tolist()) == sorted(expect)
 
     @settings(max_examples=60)
+    @given(posets(max_n=12))
+    def test_lookup_kernel_finds_the_lattice_edges_property(self, p):
+        # the two edge builders agree on an ideal family, array for array
+        walk = list(_ideal_layers(p, DEFAULT_MEMORY_BUDGET))
+        family = np.concatenate([layer for layer, _, _ in walk])
+        lookup = list(family_layers(family, p.n))
+        assert len(lookup) == len(walk) == p.n + 1
+        for got, expect in zip(lookup, walk):
+            for a, b in zip(got, expect):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @settings(max_examples=60)
     @given(posets(max_n=16))
     def test_one_walk_matches_the_separate_counts_property(self, p):
         alpha, lam = count_ideals_and_extensions(p)
@@ -493,14 +506,21 @@ class TestLayerKernel:
         layers = [layer for layer, _, _ in _ideal_layers(p, DEFAULT_MEMORY_BUDGET)]
         assert count_linear_extensions(p, "ideal-dp") == object_layer_chains(layers)
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_limbs_match_object_kernel_on_systems(self, seed):
-        # dense random families on up to 14 elements, so some counts pass 2^32
+    @pytest.mark.parametrize(
+        "seed, keep, with_empty",
+        [pytest.param(seed, None, True, id=str(seed)) for seed in range(12)]
+        + [pytest.param(seed, 0.35, True, id=f"sparse{seed}") for seed in (55, 56, 60)]
+        + [pytest.param(12, None, False, id="no-empty-set")],
+    )
+    def test_limbs_match_object_kernel_on_systems(self, seed, keep, with_empty):
+        # dense random families on up to 14 elements, so some counts pass
+        # 2^32; in the sparse ones 15-43% of the members, and in the last
+        # every member, cannot be reached from the empty set
         rng = random.Random(1400 + seed)
         n = rng.randint(4, 14)
-        keep = rng.choice([0.5, 0.99, 1.0])
+        keep = keep or rng.choice([0.5, 0.99, 1.0])
         members = [0, (1 << n) - 1] + [s for s in range(1 << n) if rng.random() < keep]
-        a = SetSystem(n, members)
+        a = SetSystem(n, members if with_empty else members[1:])
         assert count_maximal_chains(a) == object_layer_chains(system_layers(a))
 
     @pytest.mark.parametrize("t, k", [(11, 3), (8, 8)], ids=["tower11x3", "tower8x8"])

@@ -1,12 +1,15 @@
 """Solver equivalence, witnesses, and space accounting."""
 
 import dataclasses
+import hashlib
+import json
 import os
 import random
 import time
 import tracemalloc
 from itertools import combinations, permutations
 from math import ceil, comb, factorial, log2, perm
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -748,11 +751,11 @@ class TestPlanBudget:
     def test_refused_layer_is_not_allocated(self):
         # degree 2 over the masks of at most 5 of 16 elements: layers 1..4
         # hold 25,456 transitions and layer 5 alone 87,360.  The kept layers
-        # take three budget-sized int64 arrays, and layer 5 is refused in
-        # its first block of SCRATCH_ENTRIES // 16 candidates, so the peak
-        # stays under 10 such arrays.  Scanning all of layer 5's 4,368
-        # candidates before the check passes 11; building its index arrays
-        # as well passes 21.
+        # take three budget-sized int64 arrays, and layer 5 is refused once
+        # the lookup kernel has found the 21,840 edges into its 4,368 masks
+        # and its transitions are counted from them, before its index
+        # arrays are built, so the peak stays under 10 such arrays.
+        # Building its index arrays as well passes 21.
         masks = np.arange(1 << 16, dtype=np.uint64)
         family = masks[np.bitwise_count(masks) <= 5]
         sizes = [len(layer.pred) for layer in build_plan(family, 16, 2, DEFAULT_MEMORY_BUDGET)]
@@ -766,6 +769,72 @@ class TestPlanBudget:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 8 * budget
+
+
+def _sparse_family(seed, with_empty):
+    """About 60% of the subsets of 7 to 9 elements, so that some members are
+    not reachable from the empty set."""
+    rng = random.Random(seed)
+    n = rng.randint(7, 9)
+    members = [s for s in range(1, 1 << n) if rng.random() < 0.6]
+    return np.array([0] * with_empty + members, dtype=np.uint64), n
+
+
+def _tower_with_remainder(r):
+    a = tower_of_cubes(3, 2)
+    return product_family([a, restriction(a, r)]), 6 + r
+
+
+# (family, n) of each family whose plans ``golden_plans.json`` pins
+GOLDEN_PLAN_FAMILIES = {
+    **{f"tower:3:2 x r={r}": lambda r=r: _tower_with_remainder(r) for r in range(1, 7)},
+    "tower:2:3": lambda: (tower_of_cubes(2, 3).masks, 6),
+    "ideals:matchcomp:4^2": lambda: (
+        cartesian_power(from_poset_ideals(make_matching_complement(4)), 2).masks,
+        16,
+    ),
+    "2^[12]": lambda: (full_power_set(12).masks, 12),
+    "sparse:1": lambda: _sparse_family(1, True),
+    "sparse:5": lambda: _sparse_family(5, True),
+    "sparse:4 without the empty set": lambda: _sparse_family(4, False),
+}
+
+
+def plan_digests(layers):
+    """Per layer, the first 16 hex digits of a sha256 over the dtype, shape
+    and bytes of its five arrays."""
+    digests = []
+    for layer in layers:
+        h = hashlib.sha256()
+        for arr in (layer.pred, layer.starts, layer.prev, layer.elem, layer.out):
+            h.update(f"{arr.dtype.str}{arr.shape}".encode())
+            h.update(np.ascontiguousarray(arr).tobytes())
+        digests.append(h.hexdigest()[:16])
+    return digests
+
+
+GOLDEN_PLANS = json.loads((Path(__file__).resolve().parent / "golden_plans.json").read_text())
+
+
+class TestGoldenPlans:
+    """Plans pinned from the edge scan that ran nonzero over every bit,
+    binary-searched the parents and grouped the edges by np.unique."""
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", list(GOLDEN_PLAN_FAMILIES))
+    def test_plan_matches(self, name, degree):
+        family, n = GOLDEN_PLAN_FAMILIES[name]()
+        plan = build_plan(family, n, degree, DEFAULT_MEMORY_BUDGET)
+        assert plan_digests(plan) == GOLDEN_PLANS[name][str(degree)]
+
+    @pytest.mark.parametrize("name", [name for name in GOLDEN_PLAN_FAMILIES if "sparse" in name])
+    def test_sparse_families_hold_unreachable_members(self, name):
+        family, n = GOLDEN_PLAN_FAMILIES[name]()
+        reachable = {0}
+        for mask in sorted(family.tolist(), key=int.bit_count):
+            if any(mask & ~(1 << v) in reachable for v in range(n) if mask >> v & 1):
+                reachable.add(mask)
+        assert len(reachable - {0}) < np.count_nonzero(family)
 
 
 class TestPowerSetIsHeldKarp:
