@@ -87,17 +87,29 @@ def _chain_table(a: SetSystem):
     """The chain permutations of A, as the rows of a uint8 table in no
     particular order: the paths from the empty set along the Hasse edges
     of ``family_layers``, where an edge appends its element to every path
-    that ends on its parent."""
-    layers = family_layers(a.masks, a.n)
-    below = next(layers)[0]
+    that ends on its parent.  Only the edges into members that reach [n]
+    carry paths, so no row grows towards a dead end."""
+    layers = list(family_layers(a.masks, a.n))
+    # heads[k]: the child of each edge into layer k + 1, as an index into it
+    heads = [
+        starts.searchsorted(np.arange(src.size), side="right") - 1 for _, src, starts in layers[1:]
+    ]
+    # live[k]: whether each edge into layer k + 1 ends on a member that
+    # reaches [n], marked by a backward pass from the last layer
+    live = [None] * a.n
+    reach = np.ones(layers[-1][0].size, dtype=bool)
+    for k in range(a.n - 1, -1, -1):
+        live[k] = reach[heads[k]]
+        reach = np.zeros(layers[k][0].size, dtype=bool)
+        reach[layers[k + 1][1][live[k]]] = True
+    below = layers[0][0]
     paths = np.zeros((below.size, 0), dtype=np.uint8)
     # rows first[i] .. first[i] + sizes[i] - 1 end on below[i]
     first, sizes = np.zeros(below.size, dtype=np.intp), np.ones(below.size, dtype=np.intp)
-    for layer, src, starts in layers:
-        counts = sizes[src]
+    for (layer, src, starts), head, on in zip(layers[1:], heads, live):
+        counts = sizes[src] * on
         rows, opens = fan_out(first[src], counts)
-        child = layer[starts.searchsorted(np.arange(src.size), side="right") - 1]
-        elem = np.bitwise_count((child ^ below[src]) - np.uint64(1))
+        elem = np.bitwise_count((layer[head] ^ below[src]) - np.uint64(1))
         paths = np.concatenate([paths[rows], elem.repeat(counts)[:, None]], axis=1)
         first, sizes = opens[starts], np.add.reduceat(counts, starts)
         below = layer

@@ -375,9 +375,11 @@ def enumerate_ideals(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):
 
 #: Entries in one block of an ideal kernel's working array (4 MB of
 #: uint64): big enough to amortise numpy's per-call cost, small enough to
-#: keep the kernels' memory flat.  On m = 25 circulants the transfer trace
-#: measured fastest at 2^18-2^19, and bipartite-sum within 15% from 2^16
-#: to 2^20.
+#: keep the kernels' memory flat.  On m = 25 circulants with max D = 12
+#: (three offset sets, 2-core VM) the transfer trace measured fastest at
+#: 2^18-2^19 (78-81 ms), 83-93 ms at 2^17 and 86-91 ms at 2^20; the
+#: bipartite sum over distinct ORs took 33-42 ms from 2^15 to 2^20 and
+#: 55-65 ms at 2^21.  Each kernel peaks at about two blocks.
 _BLOCK_ENTRIES = 1 << 19
 
 
@@ -407,10 +409,14 @@ def _or_closure_sum(neighbor_masks, other_side_size, memory_budget):
     """Sum over all subsets S of 2^(K - |union of neighbor masks over S|).
 
     The subsets split into a low and a high half, whose ORs are enumerated
-    once each.  Every block of high ORs is merged with all the low ORs into
-    a histogram of union sizes, and one exact sum of hist[c] * 2^(K - c)
-    finishes the count.  The merged ORs and their sizes are written into
-    two block buffers allocated once.
+    once each.  Many subsets of a half share an OR, so each half keeps its
+    distinct ORs with their multiplicities.  Every block of distinct high
+    ORs is merged with all the distinct low ORs into a histogram of union
+    sizes, each pair weighted by the product of its two multiplicities,
+    and one exact sum of hist[c] * 2^(K - c) finishes the count.  A bin
+    holds at most 2^s <= 2^34 subsets, so the float64 weights and sums are
+    exact.  The budget is charged for the blocks of all 2^s pairs, an
+    upper bound on the distinct pairs' blocks.
     """
     s = len(neighbor_masks)
     k = other_side_size
@@ -419,18 +425,22 @@ def _or_closure_sum(neighbor_masks, other_side_size, memory_budget):
     lo = s // 2
     rows = min(1 << (s - lo), max(1, _BLOCK_ENTRIES >> lo))
     _check_budget("bipartite-sum", (1 << lo) + (1 << (s - lo)) + (rows << lo), memory_budget)
-    lo_ors = _subset_ors(neighbor_masks[:lo])
-    hi_ors = _subset_ors(neighbor_masks[lo:])
-    hist = np.zeros(k + 1, dtype=np.int64)
-    merged = np.empty((rows, lo_ors.size), dtype=np.uint64)
-    sizes = np.empty((rows, lo_ors.size), dtype=np.uint8)
-    for start in range(0, hi_ors.size, rows):
-        block = hi_ors[start : start + rows, None]
+    lo_ors, lo_mult = np.unique(_subset_ors(neighbor_masks[:lo]), return_counts=True)
+    hi_ors, hi_mult = np.unique(_subset_ors(neighbor_masks[lo:]), return_counts=True)
+    lo_mult, hi_mult = lo_mult.astype(np.float64), hi_mult.astype(np.float64)
+    step = min(hi_ors.size, max(1, _BLOCK_ENTRIES // lo_ors.size))
+    # a block's ORs are replaced by their sizes in place, read as int64
+    merged = np.empty((step, lo_ors.size), dtype=np.uint64)
+    weights = np.empty((step, lo_ors.size))
+    hist = np.zeros(k + 1)
+    for start in range(0, hi_ors.size, step):
+        block = hi_ors[start : start + step, None]
         n = block.shape[0]
         np.bitwise_or(block, lo_ors, out=merged[:n])
-        np.bitwise_count(merged[:n], out=sizes[:n])
-        hist += np.bincount(sizes[:n].ravel(), minlength=k + 1)
-    return sum(int(count) << (k - c) for c, count in enumerate(hist))
+        sizes = np.bitwise_count(merged[:n], out=merged[:n]).view(np.int64)
+        np.multiply(hi_mult[start : start + n, None], lo_mult, out=weights[:n])
+        hist += np.bincount(sizes.ravel(), weights[:n].ravel(), minlength=k + 1)
+    return sum(int(count) << (k - c) for c, count in enumerate(hist.tolist()))
 
 
 def _count_ideals_bipartite_sum(p: Poset, memory_budget: int) -> int:
@@ -468,7 +478,12 @@ def _transfer_trace(p: CirculantBipartitePoset, memory_budget: int) -> int:
     The y closed at step t needs the bits appended at steps t - w + d for
     d in D, step j <= 0 being s0's bit -j and step j > m - w s0's bit m - j.
     Its weight-2 test is a strided sub-cube of the rows (the free bits it
-    needs set) times a 0/1 vector over s0 (s0's bits it needs set).
+    needs set) and a mask over s0 (s0's bits it needs set); the entries
+    that pass count their walks twice.  Whether a step halves or doubles,
+    its sub-cube and its s0 bits form a plan built once, before the
+    blocks.  A block runs in two buffers of the peak size: a halving adds
+    the hi half into the lo half in place, and a doubling copies the
+    rows into both halves of the new axis in the other buffer.
 
     uint64 is exact: every entry is an entry of M^t, which sums at most
     2^max(0, t-w) walks of weight at most 2^t, so it is at most
@@ -485,36 +500,47 @@ def _transfer_trace(p: CirculantBipartitePoset, memory_budget: int) -> int:
     # one block is resident, but the charge is never below the 2^w start
     # states, so a w past the budget is refused before it runs
     _check_budget("circulant-transfer", max(cols << peak_bits, 1 << w), memory_budget)
+    plan = []  # per step: (free bits held, halves, reads hi, sub-cube, s0's bits, doubles)
+    held = 0
+    for t in range(1, m + 1):
+        first = max(1, t - w)  # the oldest free step in the window, on axis 0
+        rows = [slice(None)] * held
+        forced = 0
+        for d in offsets:
+            j = t - w + d
+            if j < 1 or j > free:
+                forced |= 1 << (-j if j < 1 else m - j)
+            elif j < t:
+                rows[j - first] = 1
+        halves, doubles = t > w, t <= free
+        reads_hi = halves and rows.pop(0) == 1
+        plan.append((held, halves, reads_hi, tuple(rows), forced, doubles))
+        held += doubles - halves
+    cur, other = np.empty((2, cols << peak_bits), dtype=np.uint64)
     total = 0
     for start in range(0, 1 << w, cols):
         s0 = np.arange(start, min(start + cols, 1 << w), dtype=np.uint64)
-        vec = np.ones(s0.size, dtype=np.uint64)
-        for t in range(1, m + 1):
-            first = max(1, t - w)  # the oldest free step in the window, on axis 0
-            rows = [slice(None)] * (vec.ndim - 1)
-            forced = 0
-            for d in offsets:
-                j = t - w + d
-                if j < 1 or j > free:
-                    forced |= 1 << (-j if j < 1 else m - j)
-                elif j < t:
-                    rows[j - first] = 1
-            col = (s0 & np.uint64(forced)) == forced
-            if t > w:  # the oldest free bit leaves
-                base = vec[0] + vec[1]
-                src = vec[1] if rows[0] == 1 else base
-                rows = tuple(rows[1:])
+        n = s0.size
+        cur[:n] = 1
+        for held, halves, reads_hi, rows, forced, doubles in plan:
+            vec = src = cur[: n << held].reshape((2,) * held + (n,))
+            if halves:  # the oldest free bit leaves: lo + hi, in place
+                lo, hi = vec
+                np.add(lo, hi, out=lo)
+                vec, src = lo, hi if reads_hi else lo
+            if doubles:  # a free bit enters; only its 1 rows gain
+                grown = other[: 2 * vec.size].reshape(vec.shape[:-1] + (2, n))
+                np.copyto(grown, vec[..., None, :])
+                dst = grown[..., 1, :][rows]
+                cur, other = other, cur
+            else:  # s0's bit m - t enters; the mask already holds it
+                dst = vec[rows]
+            if forced:
+                col = (s0 & np.uint64(forced)) == forced
+                np.add(dst, src[rows], out=dst, where=col)
             else:
-                base = src = vec
-                rows = tuple(rows)
-            gain = src[rows] * col
-            if t <= free:  # a free bit enters; only its 1 rows gain
-                vec = np.stack([base, base], axis=-2)
-                vec[..., 1, :][rows] += gain
-            else:  # s0's bit m - t enters; col already holds it
-                vec = base
-                vec[rows] += gain
-        total += sum(vec.tolist())
+                np.add(dst, src[rows], out=dst)
+        total += sum(cur[:n].tolist())
     return total
 
 
@@ -686,9 +712,11 @@ def default_count_methods(p: Poset):
 
     For a circulant the cheaper ideal kernel by estimated work: the
     transfer trace writes about 2^w * (|m - 2w| + 3) * 2^min(w, m - w)
-    entries (w = max D), the bipartite sum about 2^m.  Its extensions are
-    counted by orbit, which keeps about 2^m / m rotation classes where
-    bipartite-fst keeps 2^m sets.
+    entries (w = max D), the bipartite sum at most 2^m, one per pair of
+    distinct subset ORs of its two halves.  The rule compares that upper
+    bound, so the pick does not depend on how many ORs repeat.  Its
+    extensions are counted by orbit, which keeps about 2^m / m rotation
+    classes where bipartite-fst keeps 2^m sets.
     """
     if isinstance(p, CirculantBipartitePoset):
         m, w = p.m, max(p.offsets)

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from itertools import permutations
 from math import factorial, log
 from pathlib import Path
@@ -198,6 +199,22 @@ class TestChainPermutations:
         assert table_rows(table) == set(oracle_chains(a))
         if shape in ("no empty set", "no full set", "empty middle layer"):
             assert table.shape == (0, n)
+
+    def test_dead_ends_are_not_grown(self):
+        # every proper subset of {0..8} is a member that cannot reach [11];
+        # one chain through 9 and 10 does.  Growing the dead ends would hold
+        # the 9! paths of 8 elements, about 10 MB at its peak.
+        dead = list(range((1 << 9) - 1))
+        chain = [1 << 9, 3 << 9] + [3 << 9 | (1 << i) - 1 for i in range(1, 10)]
+        a = SetSystem(11, dead + chain)
+        tracemalloc.start()
+        try:
+            table = _chain_table(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.tolist() == [[9, 10, 0, 1, 2, 3, 4, 5, 6, 7, 8]]
+        assert peak < 1 << 20
 
     def test_matching_complement_of_six(self):
         a = from_poset_ideals(make_matching_complement(6))

@@ -328,10 +328,11 @@ class TestIdealCounting:
         assert count_ideals(p, "circulant-transfer") == count_ideals(p, "bipartite-sum")
 
     @pytest.mark.parametrize("shape", ["m<2w", "m=2w", "m>2w"])
-    @pytest.mark.parametrize("cols", [None, 1, 8])
+    @pytest.mark.parametrize("cols", [None, 1, 8, 3])
     def test_transfer_matches_dense_trace(self, monkeypatch, shape, cols):
-        # cols None runs the real block; 1 and 8 force blocks of that many
-        # start states, so the last block is short
+        # cols None runs the real block; 1, 8 and 3 force blocks of that
+        # many start states, and 3, which does not divide 2^w, leaves a
+        # short last block
         rng = random.Random(f"{shape}{cols}")
         for _ in range(25):
             if shape == "m<2w":
@@ -369,6 +370,58 @@ class TestIdealCounting:
         assert count_ideals(make_antichain(7), "bipartite-sum") == 2**7
         p = Poset(6, [(0, 3), (1, 3), (1, 4)])
         assert count_ideals(p, "bipartite-sum") == count_ideals(p, "lattice")
+
+    def test_bipartite_sum_at_sixty_three(self):
+        # one x below 63 y's, and one y above 63 x's: K = 63, so the sum
+        # 2^63 + 2^0 passes every 64-bit float and integer type exactly
+        below = Poset(64, [(0, y) for y in range(1, 64)])
+        above = Poset(64, [(x, 63) for x in range(63)])
+        assert count_ideals(below, "bipartite-sum") == 2**63 + 1
+        assert count_ideals(above, "bipartite-sum") == 2**63 + 1
+
+    @pytest.mark.parametrize("block", [None, 1, 12])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bipartite_sum_shared_neighbourhoods(self, monkeypatch, seed, block):
+        # every x takes one of at most three neighbourhoods, so many subsets
+        # of a half share an OR; block 1 and 12 force blocks of at most that
+        # many distinct pairs, and 12 leaves a short last block at seed 0
+        rng = random.Random(900 + seed)
+        nx, ny = 8, 8
+        pool = [rng.getrandbits(ny) for _ in range(rng.randint(1, 3))]
+        covers = []
+        for x in range(nx):
+            nb = rng.choice(pool)
+            covers += [(x, nx + y) for y in range(ny) if nb >> y & 1]
+        p = Poset(nx + ny, covers)
+        if block is not None:
+            monkeypatch.setattr(chaineff.poset, "_BLOCK_ENTRIES", block)
+        assert count_ideals(p, "bipartite-sum") == count_ideals(p, "lattice")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bipartite_sum_matches_lattice_property(self, data):
+        # lopsided sides: at most 3 elements against up to 13
+        small = data.draw(st.integers(min_value=0, max_value=3))
+        large = data.draw(st.integers(min_value=1, max_value=13))
+        nx, ny = (small, large) if data.draw(st.booleans()) else (large, small)
+        pairs = [(x, nx + y) for x in range(nx) for y in range(ny)]
+        covers = data.draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        p = Poset(nx + ny, covers)
+        assert count_ideals(p, "bipartite-sum") == count_ideals(p, "lattice")
+
+    @pytest.mark.parametrize("method", ["bipartite-sum", "circulant-transfer"])
+    def test_kernel_peak_is_about_two_blocks(self, method):
+        # each kernel peaks at 2.05 blocks of _BLOCK_ENTRIES uint64 entries:
+        # its two block buffers and a few arrays of distinct ORs or start states
+        p = make_circulant(25, (0, 2, 3, 10, 12))
+        tracemalloc.start()
+        try:
+            value = count_ideals(p, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 217984283
+        assert peak < 2.5 * chaineff.poset._BLOCK_ENTRIES * 8
 
     @pytest.mark.parametrize("method", ["bipartite-sum", "circulant-transfer"])
     def test_kernels_check_budget(self, method):
