@@ -243,16 +243,24 @@ def _extend_ideals(layer, pred, bits, with_edges):
     An ideal I extends by each v outside it whose predecessors it holds,
     I & (pred[v] | v) == pred[v].  The children I | v of one v form a sorted
     run, since OR-ing a bit into sorted masks that lack it keeps their
-    order, so a stable argsort merges the n runs cheaply.  ``src`` is the
-    index in ``layer`` of each edge's parent, the edges ordered by child,
-    and ``starts`` the first edge into each child of the next layer.
+    order, so the stable argsort of ``_merge_children`` merges the n runs
+    cheaply.
     """
     ok = [np.flatnonzero(_fits(layer, pv, bv)) for pv, bv in zip(pred, bits)]
     cand = np.concatenate([layer[at] | bv for at, bv in zip(ok, bits)])
     if not with_edges:
         return sorted_unique(cand), None, None
+    return _merge_children(cand, ok)
+
+
+def _merge_children(cand, ok):
+    """(layer, src, starts) of the children ``cand``, one run per bit, whose
+    parents' indices are the runs of ``ok``: the distinct children sorted,
+    the index of each edge's parent with the edges ordered by child (by
+    bit within a child), and the first edge into each child.  ``cand`` is
+    sorted in place, so the caller's reference holds no second copy."""
     order = np.argsort(cand, kind="stable")
-    cand = cand[order]
+    cand[:] = cand[order]
     first = np.ones(cand.size, dtype=bool)
     first[1:] = cand[1:] != cand[:-1]
     return cand[first], np.concatenate(ok)[order], np.flatnonzero(first)
@@ -379,7 +387,9 @@ def enumerate_ideals(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):
 #: (three offset sets, 2-core VM) the transfer trace measured fastest at
 #: 2^18-2^19 (78-81 ms), 83-93 ms at 2^17 and 86-91 ms at 2^20; the
 #: bipartite sum over distinct ORs took 33-42 ms from 2^15 to 2^20 and
-#: 55-65 ms at 2^21.  Each kernel peaks at about two blocks.
+#: 55-65 ms at 2^21.  Each kernel peaks at about two blocks.  The F(S, t)
+#: kernel gathers one block of limbs at a time; on circulant:22:0,1,2,4,9
+#: orbit took 272-290 ms from 2^15 to 2^19 and 294-304 ms at 2^20-2^21.
 _BLOCK_ENTRIES = 1 << 19
 
 
@@ -617,35 +627,90 @@ def _prefix_dp(nx: int, needs, canon, memory_budget: int, name: str) -> int:
     F(S, t) = sum_{x not in S} F(S + x, t) + (e(S) - t) F(S, t + 1)
     for t <= e(S), and F(X, t) = (|Y| - t)!.  Returns F({}, 0).
 
-    Layers run by |S| descending with two resident.  ``canon`` maps an
-    array of masks to their class representatives, and F must be constant
-    on each class: the identity keeps every set, a rotation keeps one per
-    orbit.  The classes of two layers are checked against the budget.
+    ``canon`` maps an array of masks to their class representatives, and F
+    must be constant on each class: the identity keeps every set, a rotation
+    keeps one per orbit, so a class holds at most nx sets.  Layers run by
+    |S| descending with two resident, each class S holding
+    H(S, t) = |class(S)| F(S, t).  Counting the pairs (S', x) with S' in the
+    class of S, |class(S)| sum_x F(S + x, t) is the sum of H(P, t) over the
+    down edges into S: each class P of the layer above and each b in P with
+    canon(P - b) = S.  So a layer is summed along those edges alone, and the
+    recurrence in t, linear per class, carries over to H.  X and {} are
+    classes of one set, so H({}, 0) is the answer.
+
+    H is held exactly in base-2^32 limbs, a (limbs, t, classes) uint64
+    array.  The t step multiplies by max(e(S) - t, 0), so a column t > e(S)
+    holds only the sum of its parents' columns t, which no column
+    t <= e(S) reads.  Every column, those included, then has
+    F(S, t) <= (|X| + |Y| - |S| - t)!, so H <= nx (|X| + |Y| - |S|)! fixes
+    a layer's limb count (the rows it adds to the layer above's start at
+    zero), and ``_carry`` never carries out of the top limb.  A child has
+    at most 64^2 edges in, so its uncarried sums stay below 2^44; each
+    column is carried in place after its step.  The edges out of a layer
+    are counted first and refused past physical memory; the classes of two
+    layers are checked against the budget.
     """
     ny = len(needs)
     needs = np.array(needs, dtype=np.uint64)
     bits = np.uint64(1) << np.arange(nx, dtype=np.uint64)
     masks = np.array([(1 << nx) - 1], dtype=np.uint64)
-    f = np.array([[factorial(ny - t) for t in range(ny + 1)]], dtype=object)
-    for _ in range(nx):
-        # the classes one element smaller, by deleting each bit of the last layer
-        new = sorted_unique(canon(np.concatenate([masks[masks & b != 0] & ~b for b in bits])))
+    h = np.array(
+        [[[factorial(ny - t) >> (_LIMB_BITS * l) & int(_LIMB_MASK)] for t in range(ny + 1)]
+         for l in range(_limbs_for(nx * factorial(ny)))],
+        dtype=np.uint64,
+    )
+    for k in range(nx - 1, -1, -1):
+        edges = int(np.bitwise_count(masks).sum())
+        if _EDGE_BYTES * edges > physical_bytes():
+            raise ResourceLimit(f"{name} layer: {edges} edges pass physical memory")
+        # the classes one element smaller, each with its down edges in
+        ok = [np.flatnonzero(masks & b) for b in bits]
+        cand = canon(np.concatenate([masks[at] & ~b for at, b in zip(ok, bits)]))
+        new, src, starts = _merge_children(cand, ok)
         if new.size + masks.size > memory_budget:
             raise ResourceLimit(f"{name} layer exceeds the memory budget")
         e = ((new[:, None] & needs) == needs).sum(axis=1)
-        width = e.max() + 1  # no superset has a smaller e, so f is as wide
-        # G(S, t) = sum_{x not in S} F(S + x, t), one x at a time
-        sels = [np.flatnonzero(new & b == 0) for b in bits]
-        sups = canon(np.concatenate([new[sel] | b for sel, b in zip(sels, bits)]))
-        rows = np.split(np.searchsorted(masks, sups), np.cumsum([sel.size for sel in sels])[:-1])
-        g = np.zeros((new.size, width), dtype=object)
-        for sel, row in zip(sels, rows):
-            g[sel] += f[row, :width]
-        # columns past a row's e(S) hold junk that never reaches a column t <= e(S)
+        width = int(e.max()) + 1  # no superset has a smaller e, so h is as wide
+        g = _edge_sums(h[:, :width], src, starts, _limbs_for(nx * factorial(nx + ny - k)))
+        _carry(g[:, -1])
         for t in range(width - 2, -1, -1):
-            g[:, t] += (e - t) * g[:, t + 1]
-        masks, f = new, g
-    return f[0, 0]
+            g[:, t] += np.maximum(e - t, 0).astype(np.uint64) * g[:, t + 1]
+            _carry(g[:, t])
+        masks, h = new, g
+    return _limbs_total(h[:, 0])
+
+
+def _limbs_for(bound: int) -> int:
+    """The base-2^32 limbs that hold any count up to ``bound``."""
+    return max(1, -(-bound.bit_length() // _LIMB_BITS))
+
+
+def _edge_sums(h, src, starts, rows):
+    """(rows, width, children): the sums of the parent columns ``src`` of
+    ``h`` over the runs of edges opening at ``starts``, one ``reduceat`` per
+    block of children whose edges hold at most ``_BLOCK_ENTRIES`` limbs;
+    the ``rows`` past h's limbs are zero."""
+    limbs, width, _ = h.shape
+    flat = np.ascontiguousarray(h).reshape(limbs * width, -1)  # take would copy per block
+    out = np.zeros((rows, width, starts.size), dtype=np.uint64)
+    bounds = np.append(starts, src.size)
+    for lo, hi in _edge_blocks(bounds, max(1, _BLOCK_ENTRIES // (limbs * width))):
+        gather = flat.take(src[bounds[lo] : bounds[hi]], axis=1)
+        sums = np.add.reduceat(gather, starts[lo:hi] - bounds[lo], axis=1)
+        del gather  # freed before the next block's is taken
+        out[:limbs, :, lo:hi] = sums.reshape(limbs, width, hi - lo)
+    return out
+
+
+def _edge_blocks(bounds, step):
+    """Ranges lo..hi - 1 that tile the children whose edges open at
+    ``bounds[:-1]`` (``bounds[-1]`` is the edge count): each the most
+    children from lo whose edges number at most ``step``, or one child."""
+    lo = 0
+    while lo < bounds.size - 1:
+        hi = max(lo + 1, int(bounds.searchsorted(bounds[lo] + step, side="right")) - 1)
+        yield lo, hi
+        lo = hi
 
 
 def _count_extensions_bipartite_fst(p: Poset, memory_budget: int) -> int:
@@ -659,13 +724,21 @@ def _count_extensions_bipartite_fst(p: Poset, memory_budget: int) -> int:
 
 
 def _canonical_rotation(arr, m):
-    """Lexicographically minimal cyclic rotation of each m-bit mask."""
-    full = np.uint64((1 << m) - 1)
-    best = arr.copy()
-    for s in range(1, m):
-        rot = ((arr << s) | (arr >> (m - s))) & full
+    """Lexicographically minimal cyclic rotation of each m-bit mask.
+
+    A circulant has m <= 32, so the rotations run on a uint32 copy, one bit
+    at a time and in place: on 350k masks at m = 22, a fifth of the time of
+    a fresh uint64 array per rotation."""
+    best = arr.astype(np.uint32)
+    rot, low = best.copy(), np.empty_like(best)
+    full, one, back = np.uint32((1 << m) - 1), np.uint32(1), np.uint32(m - 1)
+    for _ in range(1, m):
+        np.right_shift(rot, back, out=low)
+        rot <<= one
+        rot &= full
+        rot |= low
         np.minimum(best, rot, out=best)
-    return best
+    return best.astype(np.uint64)
 
 
 def _count_extensions_orbit(p: CirculantBipartitePoset, memory_budget: int) -> int:

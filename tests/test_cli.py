@@ -461,6 +461,13 @@ class TestRunReuse:
         assert out.stdout.split() == ["0", "0"]
 
 
+    def test_runs_as_a_module(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        argv = [sys.executable, "-m", "chaineff", "bounds", "reglimit", "2"]
+        out = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["name"] == "regular-bipartite-limit"
+
 # Tokens near the readers' edges: counts past 64, negative and huge
 # integers, inf, words, and the set-system reader's "-" for the empty set.
 _JUNK = st.sampled_from(["-1", "inf", "x", "-", "1e3", "64", "65", ""])

@@ -1,6 +1,7 @@
 """Poset counting: ideals and linear extensions, all methods cross-checked."""
 
 import importlib
+import math
 import random
 import sys
 import tracemalloc
@@ -685,7 +686,19 @@ class TestExtensionCounting:
 
     @pytest.mark.parametrize(
         "m,offsets",
-        [(7, (0, 1, 3)), (9, (0, 1, 3)), (11, (0, 1, 3)), (6, (0, 2)), (10, (0, 1, 4, 7)), (13, (0, 3))],
+        [
+            (7, (0, 1, 3)),
+            (9, (0, 1, 3)),
+            (11, (0, 1, 3)),
+            (6, (0, 2)),
+            (10, (0, 1, 4, 7)),
+            (13, (0, 3)),
+            # D is invariant under a rotation by m / |D|, so many sets S
+            # are too, and their rotation classes hold fewer than m sets
+            (12, (0, 4, 8)),
+            (6, (0, 3)),
+            (8, (0, 2, 4, 6)),
+        ],
     )
     def test_circulant_methods_agree(self, m, offsets):
         p = make_circulant(m, offsets)
@@ -741,6 +754,94 @@ class TestPrefixKernel:
         assert count_linear_extensions(p, "orbit", memory_budget=need) == lam
         with pytest.raises(ResourceLimit, match="orbit layer"):
             count_linear_extensions(p, "orbit", memory_budget=need - 1)
+
+    @settings(max_examples=60)
+    @given(st.data())
+    def test_circulant_kernels_agree_property(self, data):
+        m = data.draw(st.integers(min_value=1, max_value=13))
+        offsets = data.draw(st.sets(st.integers(min_value=0, max_value=m - 1), min_size=1))
+        p = make_circulant(m, offsets)
+        counts = {count_linear_extensions(p, meth) for meth in ["orbit", "bipartite-fst", "ideal-dp"]}
+        assert len(counts) == 1
+
+    @pytest.mark.parametrize("m,offsets,bits", [(13, (0, 3), 72), (14, (0, 1, 3, 5), 77)])
+    def test_counts_carry_past_two_limbs(self, m, offsets, bits):
+        p = make_circulant(m, offsets)
+        lam = count_linear_extensions(p, "orbit")
+        assert lam.bit_length() == bits
+        assert lam == count_linear_extensions(p, "bipartite-fst") == count_linear_extensions(p, "ideal-dp")
+
+    @pytest.mark.parametrize("method", ["orbit", "bipartite-fst"])
+    def test_no_column_outgrows_its_limbs(self, monkeypatch, method):
+        # every column of H, the junk past e(S) included, stays under the
+        # bound that fixes a layer's limbs, so no carry leaves the top limb
+        real, grew = chaineff.poset._carry, []
+
+        def watch(limbs):
+            out = real(limbs)
+            grew.append(out is not limbs)
+            return out
+
+        monkeypatch.setattr(chaineff.poset, "_carry", watch)
+        for m, offsets in [(13, (0, 3)), (12, (0, 4, 8)), (9, (0, 1, 3)), (7, (0, 1, 2, 3, 4, 5, 6))]:
+            count_linear_extensions(make_circulant(m, offsets), method)
+        assert grew and not any(grew)
+
+    @pytest.mark.parametrize("block", [1, 7, 40, 333])
+    @pytest.mark.parametrize("method", ["orbit", "bipartite-fst"])
+    def test_count_does_not_depend_on_the_block(self, monkeypatch, method, block):
+        # a block of a few edges, or of one child past its share
+        p = make_circulant(11, (0, 2, 5))
+        lam = count_linear_extensions(p, method)
+        monkeypatch.setattr(chaineff.poset, "_BLOCK_ENTRIES", block)
+        assert count_linear_extensions(p, method) == lam
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_edge_blocks_tile_the_children(self, seed):
+        rng = random.Random(900 + seed)
+        counts = [rng.randint(1, 9) for _ in range(rng.randint(1, 40))]
+        bounds = np.concatenate([[0], np.cumsum(counts)])
+        step = rng.randint(1, 30)
+        blocks = list(chaineff.poset._edge_blocks(bounds, step))
+        assert [lo for lo, _ in blocks] == [0] + [hi for _, hi in blocks[:-1]]
+        assert blocks[-1][1] == len(counts)
+        for lo, hi in blocks:
+            # at most step edges unless it is one child, and the next child
+            # would pass step
+            assert bounds[hi] - bounds[lo] <= step or hi == lo + 1
+            assert hi == len(counts) or bounds[hi + 1] - bounds[lo] > step
+
+    def test_orbit_peak_is_a_few_blocks(self):
+        # two layers of limbs and one block's gather
+        p = make_circulant(20, (0, 1, 3, 6, 10))
+        tracemalloc.start()
+        try:
+            lam = count_linear_extensions(p, "orbit")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert lam == 130202384885441894899799578414153728000
+        assert peak <= 16_000_000
+
+    @pytest.mark.parametrize(
+        "method,layer_edges",
+        [
+            ("orbit", lambda: [k * rotation_classes(11, k) for k in range(1, 12)]),
+            ("bipartite-fst", lambda: [k * math.comb(11, k) for k in range(1, 12)]),
+        ],
+    )
+    def test_edges_past_physical_memory_are_refused(self, monkeypatch, method, layer_edges):
+        # the widest layer's down edges, on a machine whose memory holds one
+        # edge fewer, are refused before the layer is built; one more fits
+        p = make_circulant(11, (0, 2, 5))
+        lam = count_linear_extensions(p, "ideal-dp")
+        edges = max(layer_edges())
+        per_edge = chaineff.poset._EDGE_BYTES
+        monkeypatch.setattr(chaineff.poset, "physical_bytes", lambda: per_edge * edges)
+        assert count_linear_extensions(p, method) == lam
+        monkeypatch.setattr(chaineff.poset, "physical_bytes", lambda: per_edge * (edges - 1))
+        with pytest.raises(ResourceLimit, match=f"^{method} layer: {edges} edges pass physical memory$"):
+            count_linear_extensions(p, method)
 
     def test_fst_rejects_height_three(self):
         with pytest.raises(MethodMismatch, match="not bipartite"):
