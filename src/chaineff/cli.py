@@ -18,20 +18,23 @@ from math import comb, factorial
 import mpmath
 
 from . import bounds as bounds_mod
-from .cover import cover_size_bound, greedy_cover, randomized_cover
+from .cover import SplitMix64, cover_size_bound, greedy_cover, randomized_cover
 from .errors import ChainEffError, ResourceLimit
 from .poset import (
     DEFAULT_MEMORY_BUDGET,
+    Poset,
     count_ideals,
     count_ideals_and_extensions,
     count_linear_extensions,
     default_count_methods,
+    int_pair,
     make_bucket_order,
     make_circulant,
     make_counterexample,
     make_matching_complement,
     poset_efficiency,
     poset_from_text,
+    read_records,
 )
 from .semiring import (
     INF,
@@ -41,6 +44,7 @@ from .semiring import (
     tsp_as_permutation_problem,
 )
 from .setsystem import (
+    SetSystem,
     cartesian_power,
     chain_efficiency,
     count_maximal_chains,
@@ -56,7 +60,10 @@ EXIT_BAD_INPUT = 2
 EXIT_RESOURCE = 3
 
 
-def _emit(doc) -> None:
+def _emit(command: str, method: str, fields: dict, seed=None, algorithm=None) -> None:
+    """Write a command's JSON document: its fields and the provenance block."""
+    provenance = {"algorithm": algorithm or method, "method": method, "seed": seed}
+    doc = {"command": command, **fields, "provenance": provenance}
     sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
@@ -68,90 +75,76 @@ def _read_file(path: str) -> str:
         raise ChainEffError(f"cannot read {path}: {exc}") from exc
 
 
-def _parse_builtin(name: str, memory_budget: int = DEFAULT_MEMORY_BUDGET):
-    """Return ('poset', p) or ('setsystem', a) for a builtin name.
+def _int_list(field: str) -> list[int]:
+    return [int(x) for x in field.split(",")]
+
+
+# kind -> (one parser per ':'-separated field, constructor).  The
+# constructors look their builders up when called, so a wrapper swapped into
+# this module (as bench/spans.py does with tower_of_cubes) is the one run.
+_BUILTINS = {
+    "circulant": ((int, _int_list), lambda budget, m, offsets: make_circulant(m, offsets)),
+    "matchcomp": ((int,), lambda budget, m: make_matching_complement(m)),
+    "bucket": ((int, int), lambda budget, t, k: make_bucket_order(t, k)),
+    "counterexample": ((), lambda budget: make_counterexample()),
+    "tower": ((int, int), lambda budget, t, k: tower_of_cubes(t, k, budget)),
+}
+
+
+def _parse_builtin(name: str, memory_budget: int = DEFAULT_MEMORY_BUDGET) -> Poset | SetSystem:
+    """The Poset or SetSystem a builtin name stands for.
 
     ``ideals:NAME`` is the set system of all ideals of the poset builtin NAME.
     """
-    parts = name.split(":")
-    kind = parts[0]
+    kind, *fields = name.split(":")
     if kind == "ideals":
-        inner, poset = _parse_builtin(name[len("ideals:") :], memory_budget)
-        if inner != "poset":
+        poset = _parse_builtin(name[len("ideals:") :], memory_budget)
+        if not isinstance(poset, Poset):
             raise ChainEffError(f"builtin {name!r} needs a poset after 'ideals:'")
-        return "setsystem", from_poset_ideals(poset, memory_budget)
-    try:
-        if kind == "circulant":
-            m = int(parts[1])
-            offsets = [int(x) for x in parts[2].split(",")]
-            return "poset", make_circulant(m, offsets)
-        if kind == "matchcomp":
-            return "poset", make_matching_complement(int(parts[1]))
-        if kind == "bucket":
-            return "poset", make_bucket_order(int(parts[1]), int(parts[2]))
-        if kind == "counterexample":
-            return "poset", make_counterexample()
-        if kind == "tower":
-            return "setsystem", tower_of_cubes(int(parts[1]), int(parts[2]), memory_budget)
-    except (IndexError, ValueError) as exc:
+        return from_poset_ideals(poset, memory_budget)
+    if kind not in _BUILTINS:
+        raise ChainEffError(f"unknown builtin {name!r}")
+    parsers, build = _BUILTINS[kind]
+    try:  # a field too many or too few is a ValueError from zip too
+        values = [parse(field) for parse, field in zip(parsers, fields, strict=True)]
+    except ValueError as exc:
         raise ChainEffError(f"malformed builtin name {name!r}") from exc
-    raise ChainEffError(f"unknown builtin {name!r}")
+    return build(memory_budget, *values)
 
 
-def _load_poset(args):
-    if getattr(args, "builtin", None):
-        kind, obj = _parse_builtin(args.builtin, args.memory_budget)
-        if kind != "poset":
-            raise ChainEffError(f"builtin {args.builtin!r} is not a poset")
+# input class -> (its file option, its noun, its reader)
+_INPUTS = {
+    Poset: ("poset", "a poset", lambda text: poset_from_text(text)),
+    SetSystem: ("setsystem", "a set system", lambda text: setsystem_from_text(text)),
+}
+
+
+def _load(args, *classes):
+    """The --builtin object, which must be one of ``classes``, or else the
+    file of the first class whose option is given, read by its reader.
+    With neither, the error names the last class's option."""
+    if args.builtin:
+        obj = _parse_builtin(args.builtin, args.memory_budget)
+        if not isinstance(obj, classes):
+            raise ChainEffError(f"builtin {args.builtin!r} is not {_INPUTS[classes[0]][1]}")
         return obj
-    if getattr(args, "poset", None):
-        return poset_from_text(_read_file(args.poset))
-    raise ChainEffError("a poset is required (--poset FILE or --builtin NAME)")
-
-
-def _load_setsystem(args):
-    if getattr(args, "builtin", None):
-        kind, obj = _parse_builtin(args.builtin, args.memory_budget)
-        if kind != "setsystem":
-            raise ChainEffError(f"builtin {args.builtin!r} is not a set system")
-        return obj
-    if getattr(args, "setsystem", None):
-        return setsystem_from_text(_read_file(args.setsystem))
-    raise ChainEffError("a set system is required (--setsystem FILE)")
+    for cls in classes:
+        option, noun, read = _INPUTS[cls]
+        path = getattr(args, option)
+        if path:
+            return read(_read_file(path))
+    raise ChainEffError(f"{noun} is required (--{option} FILE or --builtin NAME)")
 
 
 def _parse_tsp_matrix(text: str) -> TspInstance:
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ChainEffError("empty matrix file")
-    if len(lines[0]) != 1:
-        raise ChainEffError("the matrix header must be the city count alone")
-    try:
-        n = int(lines[0][0])
-        rows = [[INF if tok == "inf" else int(tok) for tok in ln] for ln in lines[1:]]
-    except ValueError as exc:
-        raise ChainEffError(f"malformed matrix file: {exc}") from exc
-    if len(rows) != n:
-        raise ChainEffError(f"expected {n} matrix rows, found {len(rows)}")
+    _, rows = read_records(
+        text, "matrix", 1, lambda tokens: [INF if tok == "inf" else int(tok) for tok in tokens]
+    )
     return TspInstance.from_matrix(rows)
 
 
 def _parse_dfas_graph(text: str) -> DfasInstance:
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ChainEffError("empty graph file")
-    if len(lines[0]) != 2:
-        raise ChainEffError("the graph header must be the vertex and arc counts alone")
-    try:
-        n, m = (int(x) for x in lines[0])
-        arcs = [tuple(int(x) for x in ln) for ln in lines[1:]]
-    except ValueError as exc:
-        raise ChainEffError(f"malformed graph file: {exc}") from exc
-    if len(arcs) != m:
-        raise ChainEffError(f"expected {m} arcs, found {len(arcs)}")
-    for arc in arcs:
-        if len(arc) != 2:
-            raise ChainEffError(f"arc line needs two integers, got {len(arc)}")
+    (n, _), arcs = read_records(text, "graph", 2, int_pair)
     return DfasInstance.from_arcs(n, arcs)
 
 
@@ -178,7 +171,7 @@ def _stats_doc(stats) -> dict:
 
 
 def _cmd_count(args) -> int:
-    p = _load_poset(args)
+    p = _load(args, Poset)
     default_ideal, default_ext = default_count_methods(p)
     if args.kind == "ideals":
         method = args.method or default_ideal
@@ -186,59 +179,31 @@ def _cmd_count(args) -> int:
     else:
         method = args.method or default_ext
         value = count_linear_extensions(p, method, args.memory_budget)
-    _emit(
-        {
-            "command": "count",
-            "kind": args.kind,
-            "n": p.n,
-            "value": str(value),
-            "provenance": {"algorithm": method, "method": method, "seed": None},
-        }
-    )
+    _emit("count", method, {"kind": args.kind, "n": p.n, "value": str(value)})
     return EXIT_OK
 
 
 def _cmd_efficiency(args) -> int:
-    if args.builtin:
-        kind, obj = _parse_builtin(args.builtin, args.memory_budget)
-    elif args.setsystem:
-        kind, obj = "setsystem", _load_setsystem(args)
-    else:
-        kind, obj = "poset", _load_poset(args)
-    if kind == "setsystem":
+    obj = _load(args, SetSystem, Poset)
+    if isinstance(obj, SetSystem):
         report = chain_efficiency(obj)
         extra = {"size": str(report.size), "chains": str(report.chains)}
     else:
         report = poset_efficiency(obj, args.memory_budget)
         extra = {"alpha": str(report.size), "lambda": str(report.chains)}
-    _emit(
-        {
-            "command": "efficiency",
-            "n": report.n,
-            "inv_eta": report.inv_eta,
-            **extra,
-            "provenance": {"algorithm": report.method, "method": report.method, "seed": None},
-        }
-    )
+    _emit("efficiency", report.method, {"n": report.n, "inv_eta": report.inv_eta, **extra})
     return EXIT_OK
 
 
 def _cmd_chains(args) -> int:
-    a = _load_setsystem(args)
-    _emit(
-        {
-            "command": "chains",
-            "n": a.n,
-            "size": str(len(a)),
-            "value": str(count_maximal_chains(a)),
-            "provenance": {"algorithm": "chain-dp", "method": "chain-dp", "seed": None},
-        }
-    )
+    a = _load(args, SetSystem)
+    fields = {"n": a.n, "size": str(len(a)), "value": str(count_maximal_chains(a))}
+    _emit("chains", "chain-dp", fields)
     return EXIT_OK
 
 
 def _cmd_cover(args) -> int:
-    a = _load_setsystem(args)
+    a = _load(args, SetSystem)
     if args.strategy == "greedy":
         cov = greedy_cover(a)
         seed = None
@@ -246,17 +211,14 @@ def _cmd_cover(args) -> int:
         cov = randomized_cover(a, args.seed)
         seed = args.seed
     chains = count_maximal_chains(a)
-    _emit(
-        {
-            "command": "cover",
-            "n": cov.n,
-            "size": str(len(cov.perms)),
-            "certified": cov.certified,
-            "greedy_bound": bounds_mod._fmt(mpmath.mpf(cover_size_bound(a.n, chains))),
-            "perms": [list(p) for p in cov.perms],
-            "provenance": {"algorithm": args.strategy, "method": args.strategy, "seed": seed},
-        }
-    )
+    fields = {
+        "n": cov.n,
+        "size": str(len(cov.perms)),
+        "certified": cov.certified,
+        "greedy_bound": bounds_mod._fmt(mpmath.mpf(cover_size_bound(a.n, chains))),
+        "perms": [list(p) for p in cov.perms],
+    }
+    _emit("cover", args.strategy, fields, seed)
     return EXIT_OK
 
 
@@ -267,21 +229,15 @@ def _solve_common(problem, args, inst=None) -> int:
         result = solve_gurevich_shelah(inst, args.memory_budget)
     else:
         result = solve_chain_tradeoff(
-            problem, _load_setsystem(args), args.g, args.strategy, args.seed, args.memory_budget
+            problem, _load(args, SetSystem), args.g, args.strategy, args.seed, args.memory_budget
         )
-    _emit(
-        {
-            "command": "solve",
-            "value": _value_str(result.value),
-            "witness": list(result.witness) if result.witness is not None else None,
-            "stats": _stats_doc(result.stats),
-            "provenance": {
-                "algorithm": args.algo,
-                "method": args.algo,
-                "seed": args.seed if args.algo == "tradeoff" and args.strategy == "random" else None,
-            },
-        }
-    )
+    fields = {
+        "value": _value_str(result.value),
+        "witness": list(result.witness) if result.witness is not None else None,
+        "stats": _stats_doc(result.stats),
+    }
+    seeded = args.algo == "tradeoff" and args.strategy == "random"
+    _emit("solve", args.algo, fields, args.seed if seeded else None)
     return EXIT_OK
 
 
@@ -306,16 +262,13 @@ def _cmd_bounds(args) -> int:
         report = bounds_mod.regular_bipartite_bounds(args.m, args.d)
     else:
         report = bounds_mod.regular_bipartite_efficiency_limit(args.d)
-    _emit(
-        {
-            "command": "bounds",
-            "name": report.name,
-            "parameters": report.parameters,
-            "value": report.value,
-            "auxiliaries": report.auxiliaries,
-            "provenance": {"algorithm": report.name, "method": report.name, "seed": None},
-        }
-    )
+    fields = {
+        "name": report.name,
+        "parameters": report.parameters,
+        "value": report.value,
+        "auxiliaries": report.auxiliaries,
+    }
+    _emit("bounds", report.name, fields)
     return EXIT_OK
 
 
@@ -325,16 +278,8 @@ def _cmd_bounds(args) -> int:
 
 def _verify_doc(name: str, checks: list[dict], extra: dict | None = None) -> int:
     passed = all(c["pass"] for c in checks)
-    doc = {
-        "command": "verify",
-        "target": name,
-        "status": "PASS" if passed else "FAIL",
-        "checks": checks,
-        "provenance": {"algorithm": "verify", "method": name, "seed": None},
-    }
-    if extra:
-        doc.update(extra)
-    _emit(doc)
+    fields = {"target": name, "status": "PASS" if passed else "FAIL", "checks": checks}
+    _emit("verify", name, {**fields, **(extra or {})}, algorithm="verify")
     return EXIT_OK if passed else EXIT_MISMATCH
 
 
@@ -383,12 +328,8 @@ def _verify_kp_baseline(args) -> int:
 
 
 def _verify_power_identity(args) -> int:
-    from .cover import SplitMix64
-
     rng = SplitMix64(20240229)
     checks = []
-    from .setsystem import SetSystem
-
     for trial in range(10):
         n = 2 + rng.below(3)
         k = 2 + rng.below(2)

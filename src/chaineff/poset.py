@@ -121,13 +121,13 @@ class CirculantBipartitePoset(Poset):
     """
 
     def __init__(self, m: int, offsets):
+        if 2 * m > MAX_ELEMENTS:  # before offsets, which may be range(1, m)
+            raise InvalidSize(f"2m = {2 * m} exceeds {MAX_ELEMENTS} elements")
         offsets = frozenset(int(d) for d in offsets)
         if not offsets:
             raise InvalidOffset("offset set must be nonempty")
         if any(d < 0 or d >= m for d in offsets):
             raise InvalidOffset(f"offsets must lie in [0, {m})")
-        if 2 * m > MAX_ELEMENTS:
-            raise InvalidSize(f"2m = {2 * m} exceeds {MAX_ELEMENTS} elements")
         covers = [
             (i, m + j)
             for i in range(m)
@@ -825,7 +825,38 @@ def poset_efficiency(
 
 
 # ---------------------------------------------------------------------------
-# Text format: line 1 "n m"; then m lines "u v" of 0-indexed cover pairs.
+# Text formats.  Every input file is a header of integers, the last of which
+# counts the record lines that follow; blank lines are ignored.  A poset file
+# is "n m" and then m cover lines "u v" of 0-indexed pairs.
+
+
+def read_records(text: str, what: str, header: int, record) -> tuple[list[int], list]:
+    """The header's integers and ``record(tokens)`` of each record line.
+
+    The first non-blank line must hold ``header`` integers, and exactly as
+    many record lines as the last of them must follow.  Any other text, or a
+    ValueError from ``record``, raises InvalidInstance naming the ``what`` file.
+    """
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise InvalidInstance(f"empty {what} file")
+    if len(lines[0]) != header:
+        raise InvalidInstance(f"malformed {what} header {' '.join(lines[0])!r}")
+    try:
+        head = [int(tok) for tok in lines[0]]
+        records = [record(tokens) for tokens in lines[1:]]
+    except ValueError as exc:
+        raise InvalidInstance(f"malformed {what} file: {exc}") from exc
+    if len(records) != head[-1]:
+        raise InvalidInstance(f"expected {head[-1]} {what} lines, found {len(records)}")
+    return head, records
+
+
+def int_pair(tokens) -> tuple[int, int]:
+    """A record line of exactly two integers: a poset's cover or a digraph's arc."""
+    if len(tokens) != 2:
+        raise InvalidInstance(f"expected two integers, got {' '.join(tokens)!r}")
+    return int(tokens[0]), int(tokens[1])
 
 
 def poset_to_text(p: Poset) -> str:
@@ -835,17 +866,5 @@ def poset_to_text(p: Poset) -> str:
 
 
 def poset_from_text(text: str) -> Poset:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidInstance("empty poset file")
-    try:
-        n, m = map(int, lines[0].split())
-        covers = [tuple(map(int, ln.split())) for ln in lines[1:]]
-    except ValueError as exc:
-        raise InvalidInstance(f"malformed poset file: {exc}") from exc
-    if len(covers) != m:
-        raise InvalidInstance(f"expected {m} cover lines, found {len(covers)}")
-    for cover in covers:
-        if len(cover) != 2:
-            raise InvalidInstance(f"cover line needs two integers, got {len(cover)}")
+    (n, _), covers = read_records(text, "poset", 2, int_pair)
     return Poset(n, covers)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,7 +38,6 @@ class Semiring:
     the multiplicative identity.
     """
 
-    kind: str
     add: Callable
     mul: Callable
     zero: object
@@ -52,7 +52,6 @@ class Semiring:
 
 
 MIN_PLUS = Semiring(
-    kind="min-plus",
     add=min,
     mul=lambda a, b: a + b,
     zero=INF,
@@ -61,7 +60,6 @@ MIN_PLUS = Semiring(
 )
 
 BOOLEAN = Semiring(
-    kind="boolean",
     add=lambda a, b: a or b,
     mul=lambda a, b: a and b,
     zero=False,
@@ -72,7 +70,6 @@ BOOLEAN = Semiring(
 # Non-idempotent sum-product semiring.  Held-Karp accepts it; the
 # chain-tradeoff solver must reject it.
 SUM_PRODUCT = Semiring(
-    kind="sum-product",
     add=lambda a, b: a + b,
     mul=lambda a, b: a * b,
     zero=0,
@@ -266,8 +263,6 @@ def evaluate_permutation(problem: PermutationProblem, sigma: Sequence[int]):
 
 def brute_force_optimum(problem: PermutationProblem):
     """Semiring sum of evaluate_permutation over all of S_n (reference oracle)."""
-    from itertools import permutations
-
     sr = problem.semiring
     return sr.add_many(
         evaluate_permutation(problem, sigma) for sigma in permutations(range(problem.n))

@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .efficiency import EfficiencyReport, make_report
-from .errors import InvalidPermutation, InvalidSize, ResourceLimit
+from .errors import InvalidInstance, InvalidPermutation, InvalidSize, ResourceLimit
 from .poset import (
     DEFAULT_MEMORY_BUDGET,
     MAX_ELEMENTS,
@@ -21,6 +21,7 @@ from .poset import (
     enumerate_ideals,
     family_layers,
     physical_bytes,
+    read_records,
 )
 
 
@@ -219,28 +220,11 @@ def setsystem_to_text(a: SetSystem) -> str:
 
 
 def setsystem_from_text(text: str) -> SetSystem:
-    from .errors import InvalidInstance
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidInstance("empty set-system file")
-    try:
-        n, k = map(int, lines[0].split())
-    except ValueError as exc:
-        raise InvalidInstance(f"malformed set-system header: {exc}") from exc
+    (n, _), lines = read_records(text, "set-system", 2, _member_elements)
     if not 1 <= n <= MAX_ELEMENTS:
         raise InvalidSize(f"universe size must be in [1, {MAX_ELEMENTS}]")
-    if len(lines) - 1 != k:
-        raise InvalidInstance("set-system file has a wrong member count")
     members = []
-    for ln in lines[1:]:
-        if ln.strip() == "-":
-            members.append(0)
-            continue
-        try:
-            elems = [int(tok) for tok in ln.split()]
-        except ValueError as exc:
-            raise InvalidInstance(f"malformed member line {ln!r}") from exc
+    for elems in lines:
         mask = 0
         for e in elems:
             if not 0 <= e < n:
@@ -248,3 +232,7 @@ def setsystem_from_text(text: str) -> SetSystem:
             mask |= 1 << e
         members.append(mask)
     return SetSystem(n, members)
+
+
+def _member_elements(tokens) -> list[int]:
+    return [] if tokens == ["-"] else [int(tok) for tok in tokens]

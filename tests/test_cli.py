@@ -10,8 +10,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from chaineff.cli import run
+from chaineff.cli import _BUILTINS, _parse_builtin, run
 from chaineff.efficiency import inv_eta_string
+from chaineff.setsystem import SetSystem
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 FOUR_CITY_TEXT = "4\n0 1 2 3\n1 0 4 5\n2 4 0 6\n3 5 6 0\n"
@@ -53,7 +54,13 @@ class TestCount:
         assert run(["count", "ideals", "--poset", "/no/such/file"]) == 2
 
     def test_malformed_builtin_exit_2(self, capsys):
-        assert run(["count", "ideals", "--builtin", "circulant:xyz"]) == 2
+        # a field too few or too many; a matching complement far past 64
+        # elements is refused before its offsets range(1, m) are built
+        for name in ["circulant:xyz", "counterexample:5", "matchcomp:4:7", "matchcomp:99999999999"]:
+            assert run(["count", "ideals", "--builtin", name]) == 2
+            assert_one_line_error(capsys)
+        assert run(["chains", "--builtin", "tower:3:2:9"]) == 2
+        assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("method", ["bipartite-sum", "circulant-transfer"])
     def test_kernel_memory_budget_exit_3(self, capsys, method):
@@ -95,11 +102,9 @@ class TestEfficiencyAndChains:
         assert doc["size"] == "35" and doc["chains"] == "720"
 
     def test_ideals_of_bucket_order_are_the_tower(self, capsys):
-        from chaineff.cli import _parse_builtin
-
-        kind, ideals = _parse_builtin("ideals:bucket:4:2")
-        assert kind == "setsystem"
-        assert ideals.members == _parse_builtin("tower:4:2")[1].members
+        ideals = _parse_builtin("ideals:bucket:4:2")
+        assert isinstance(ideals, SetSystem)
+        assert ideals.members == _parse_builtin("tower:4:2").members
 
     @pytest.mark.parametrize("name", ["ideals:tower:2:2", "ideals:", "ideals:nosuch:3"])
     def test_ideals_of_a_non_poset_exit_2(self, capsys, name):
@@ -511,8 +516,7 @@ _FIELD = st.one_of(
     st.integers(-1, 12).map(str),
     st.sampled_from(["32", "64", "65", "", "x", "0,1", "1,3,5", "0,,1"]),
 )
-_KINDS = ["circulant", "matchcomp", "bucket", "tower", "counterexample"]
-_KINDS += ["ideals:matchcomp", "ideals:tower", "?"]
+_KINDS = [*sorted(_BUILTINS), "ideals:matchcomp", "ideals:tower", "?"]
 _NAMES = st.builds(
     lambda kind, fields: ":".join([kind, *fields]),
     st.sampled_from(_KINDS),

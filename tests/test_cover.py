@@ -23,7 +23,7 @@ from chaineff.cover import (
     randomized_cover,
     verify_cover,
 )
-from chaineff.errors import InvalidPermutation
+from chaineff.errors import DimensionMismatch, InvalidPermutation
 from chaineff.poset import Poset, make_matching_complement
 from chaineff.setsystem import (
     SetSystem,
@@ -352,6 +352,10 @@ class TestVerifyCover:
         a = full_power_set(3)
         with pytest.raises(InvalidPermutation):
             verify_cover(a, PermutationCover(3, ((0, 1, 2), bad), False))
+
+    def test_rejects_a_cover_over_another_universe(self):
+        with pytest.raises(DimensionMismatch, match="cover over 3 elements, system over 4"):
+            verify_cover(full_power_set(4), PermutationCover(3, ((0, 1, 2),), False))
 
 
 class TestEightElements:

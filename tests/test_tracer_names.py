@@ -64,10 +64,19 @@ def test_spans_fire_through_the_cli(spans, tmp_path, capsys):
     matrix = tmp_path / "five.txt"
     rows = [[0 if i == j else 1 + (3 * i + 5 * j) % 7 for j in range(5)] for i in range(5)]
     matrix.write_text("5\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    system = tmp_path / "tower.txt"
+    system.write_text("2 3\n-\n0\n0 1\n")
     tracer = spans.Tracer()
+
+    def builds():
+        return sum(span[0] == "setsystem.build" for span in tracer.spans)
+
     tracer.install()
     try:
         assert cli.run(["cover", "--builtin", "tower:2:2"]) == 0
+        assert builds() == 1
+        assert cli.run(["chains", "--setsystem", str(system)]) == 0
+        assert builds() == 2
         argv = ["solve", "tsp", "--matrix", str(matrix), "--algo", "tradeoff"]
         assert cli.run([*argv, "--builtin", "tower:2:2"]) == 0
         assert cli.run(["bounds", "reglimit", "6"]) == 0
