@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimit
-from .poset import family_layers, fan_out, sorted_unique
+from .poset import _EDGE_BYTES, charge, family_layers, fan_out, sorted_unique
 from .semiring import ARRAY_INF, INF, MIN_PLUS, ArrayCosts, PermutationProblem
 
 # entries of one (tuples, transitions) scratch array; bounds the batch size,
@@ -61,9 +61,9 @@ def build_plan(family: np.ndarray, n: int, degree: int, budget: int) -> list[_La
     ordered by key, last element first, so the pairs of one edge that
     share a new key are contiguous, and a mask's edges, in element order,
     open its new states in that order without a sort.  Each layer's
-    transitions are counted from its edges and charged before they are
-    built, so ResourceLimit is raised once those stored would pass
-    ``budget``, before the layer holding them is built.
+    transitions are counted from its edges and, with those stored before
+    them, charged against ``budget`` and at ``_EDGE_BYTES`` apiece before
+    the layer holding them is built.
     """
     if n > 64:
         raise ResourceLimit("the DP plan holds masks of at most 64 elements")
@@ -83,8 +83,7 @@ def build_plan(family: np.ndarray, n: int, degree: int, budget: int) -> list[_La
             lo = first[up]
             counts = first[up + 1] - lo
         stored += len(up) if degree == 1 else int(counts.sum())
-        if stored > budget:
-            raise ResourceLimit("DP plan exceeds the memory budget")
+        charge("DP plan", stored, budget, _EDGE_BYTES * stored)
         child = opened.searchsorted(np.arange(len(up)), side="right") - 1
         elem = np.bitwise_count((reached[child] ^ masks[up]) - np.uint64(1)).astype(np.intp)
         masks = reached
@@ -169,13 +168,12 @@ class ArrayDP:
 
         The plan's transitions and the batch's dense tables must fit
         ``budget``, and no (rows, transitions) array passes SCRATCH_ENTRIES
-        unless one row alone does.  Raises ResourceLimit when not even one
-        row fits.
+        unless one row alone does.  One row's dense tables, at 8 bytes an
+        entry, are charged before any is allocated.
         """
         room = budget - self.plan_entries
         dense = self.entries(keep_all)
-        if dense > room:
-            raise ResourceLimit("DP table exceeds the memory budget")
+        charge("DP table", self.plan_entries + dense, budget, 8 * dense)
         scratch = max(1, *(len(layer.pred) for layer in self.layers))
         if self.back is not None:
             scratch = max(scratch, self.n * max(self.sizes))

@@ -484,8 +484,8 @@ def run(argv=None) -> int:
         if args.memory_budget < 1:
             raise ChainEffError("--memory-budget must be at least 1 entry")
         return args.func(args)
-    except ResourceLimit as exc:
-        sys.stderr.write(f"resource limit: {exc}\n")
+    except (ResourceLimit, MemoryError) as exc:
+        sys.stderr.write(f"resource limit: {str(exc) or 'out of memory'}\n")
         return EXIT_RESOURCE
     except ChainEffError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -33,6 +33,19 @@ def physical_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def charge(what: str, entries: int, memory_budget: int, nbytes: int | None = None) -> None:
+    """The one memory guard, called before the memory is allocated: refuse
+    ``what`` when its ``entries`` resident entries pass ``memory_budget``, or
+    its ``nbytes`` bytes (8 per entry by default) pass physical memory."""
+    if entries > memory_budget:
+        raise ResourceLimit(
+            f"{what} needs {entries} resident entries, over the budget of {memory_budget}"
+        )
+    nbytes = 8 * entries if nbytes is None else nbytes
+    if nbytes > physical_bytes():
+        raise ResourceLimit(f"{what} needs {nbytes} bytes, over physical memory")
+
+
 class Poset:
     """Partial order given by its cover relation (a Hasse-diagram DAG)."""
 
@@ -191,7 +204,8 @@ def make_antichain(n: int) -> Poset:
 # Ideal enumeration and counting
 
 
-#: Bytes per Hasse edge that ``_extend_ideals`` holds at once: five int64 arrays.
+#: Bytes per Hasse edge that ``_extend_ideals`` holds at once: five int64
+#: arrays.  A DP plan is charged as much per transition; it keeps about 28.
 _EDGE_BYTES = 40
 
 
@@ -201,10 +215,10 @@ def _ideal_layers(p: Poset, memory_budget: int, with_edges: bool = True):
     Yields (layer, src, starts): the layer as sorted uint64 masks, and the
     edges into it from the layer before as ``_extend_ideals`` returns them
     (both empty for the layer {0}, None without ``with_edges``).  The
-    ideals so far are checked against the budget.  The E edges out of layer
-    k are counted before they are built, and an ideal of k + 1 elements has
-    at most k + 1 parents, so the build is refused when the ideals so far
-    and E / (k + 1) pass the budget, or when the edges pass physical memory.
+    ideals so far are charged.  The E edges out of layer k are counted
+    before they are built, and an ideal of k + 1 elements has at most k + 1
+    parents, so the build is charged the ideals so far and E / (k + 1)
+    against the budget, and ``_EDGE_BYTES`` per edge against physical memory.
     """
     pred = np.array(p.pred_mask, dtype=np.uint64)
     bits = np.uint64(1) << np.arange(p.n, dtype=np.uint64)
@@ -213,20 +227,14 @@ def _ideal_layers(p: Poset, memory_budget: int, with_edges: bool = True):
     total = 0
     for k in range(p.n + 1):
         total += layer.size
-        if total > memory_budget:
-            raise ResourceLimit(f"ideal lattice exceeds budget of {memory_budget} entries")
+        charge("ideal lattice", total, memory_budget)
         yield layer, src, starts
         edges = sum(int(np.count_nonzero(_fits(layer, pv, bv))) for pv, bv in zip(pred, bits))
         if not edges:
             return
         least = -(-edges // (k + 1))
-        if total + least > memory_budget:
-            raise ResourceLimit(
-                f"ideal lattice exceeds budget of {memory_budget} entries:"
-                f" {total} ideals and at least {least} in the next layer"
-            )
-        if _EDGE_BYTES * edges > physical_bytes():
-            raise ResourceLimit(f"ideal lattice: {edges} next-layer edges pass physical memory")
+        detail = f"{total} ideals and at least {least} in the next layer, by {edges} edges"
+        charge(f"ideal lattice ({detail})", total + least, memory_budget, _EDGE_BYTES * edges)
         layer, src, starts = _extend_ideals(layer, pred, bits, with_edges)
 
 
@@ -393,13 +401,6 @@ def enumerate_ideals(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):
 _BLOCK_ENTRIES = 1 << 19
 
 
-def _check_budget(kernel: str, entries: int, memory_budget: int) -> None:
-    if entries > memory_budget:
-        raise ResourceLimit(
-            f"{kernel} needs {entries} resident entries, over the budget of {memory_budget}"
-        )
-
-
 def _neighbor_masks(side, other, adjacency):
     """Bitmask, over positions in ``other``, of each element's neighbours."""
     return [
@@ -434,7 +435,7 @@ def _or_closure_sum(neighbor_masks, other_side_size, memory_budget):
         raise ResourceLimit(f"bipartite-sum side of {s} elements is too large")
     lo = s // 2
     rows = min(1 << (s - lo), max(1, _BLOCK_ENTRIES >> lo))
-    _check_budget("bipartite-sum", (1 << lo) + (1 << (s - lo)) + (rows << lo), memory_budget)
+    charge("bipartite-sum", (1 << lo) + (1 << (s - lo)) + (rows << lo), memory_budget)
     lo_ors, lo_mult = np.unique(_subset_ors(neighbor_masks[:lo]), return_counts=True)
     hi_ors, hi_mult = np.unique(_subset_ors(neighbor_masks[lo:]), return_counts=True)
     lo_mult, hi_mult = lo_mult.astype(np.float64), hi_mult.astype(np.float64)
@@ -509,7 +510,7 @@ def _transfer_trace(p: CirculantBipartitePoset, memory_budget: int) -> int:
     cols = min(1 << w, max(1, _BLOCK_ENTRIES >> peak_bits))
     # one block is resident, but the charge is never below the 2^w start
     # states, so a w past the budget is refused before it runs
-    _check_budget("circulant-transfer", max(cols << peak_bits, 1 << w), memory_budget)
+    charge("circulant-transfer", max(cols << peak_bits, 1 << w), memory_budget)
     plan = []  # per step: (free bits held, halves, reads hi, sub-cube, s0's bits, doubles)
     held = 0
     for t in range(1, m + 1):
@@ -647,8 +648,11 @@ def _prefix_dp(nx: int, needs, canon, memory_budget: int, name: str) -> int:
     zero), and ``_carry`` never carries out of the top limb.  A child has
     at most 64^2 edges in, so its uncarried sums stay below 2^44; each
     column is carried in place after its step.  The edges out of a layer
-    are counted first and refused past physical memory; the classes of two
-    layers are checked against the budget.
+    are counted and charged ``_EDGE_BYTES`` apiece, beside h, before they
+    are built.  Then the classes of two layers are charged against the
+    budget, and against physical memory the limbs that summing the layer
+    holds: h, its copy cut to the layer's width, the new layer's H, one
+    gather block with its sums, and the edges' parent indices.
     """
     ny = len(needs)
     needs = np.array(needs, dtype=np.uint64)
@@ -661,17 +665,19 @@ def _prefix_dp(nx: int, needs, canon, memory_budget: int, name: str) -> int:
     )
     for k in range(nx - 1, -1, -1):
         edges = int(np.bitwise_count(masks).sum())
-        if _EDGE_BYTES * edges > physical_bytes():
-            raise ResourceLimit(f"{name} layer: {edges} edges pass physical memory")
+        nbytes = _EDGE_BYTES * edges + h.nbytes
+        charge(f"{name} layer ({edges} edges)", masks.size, memory_budget, nbytes)
         # the classes one element smaller, each with its down edges in
         ok = [np.flatnonzero(masks & b) for b in bits]
         cand = canon(np.concatenate([masks[at] & ~b for at, b in zip(ok, bits)]))
         new, src, starts = _merge_children(cand, ok)
-        if new.size + masks.size > memory_budget:
-            raise ResourceLimit(f"{name} layer exceeds the memory budget")
         e = ((new[:, None] & needs) == needs).sum(axis=1)
         width = int(e.max()) + 1  # no superset has a smaller e, so h is as wide
-        g = _edge_sums(h[:, :width], src, starts, _limbs_for(nx * factorial(nx + ny - k)))
+        rows = _limbs_for(nx * factorial(nx + ny - k))
+        gather = min(_BLOCK_ENTRIES, h.shape[0] * width * src.size)
+        limbs = 2 * h.size + rows * width * new.size + 2 * gather + src.size
+        charge(f"{name} layer", new.size + masks.size, memory_budget, 8 * limbs)
+        g = _edge_sums(h[:, :width], src, starts, rows)
         _carry(g[:, -1])
         for t in range(width - 2, -1, -1):
             g[:, t] += np.maximum(e - t, 0).astype(np.uint64) * g[:, t + 1]
@@ -717,8 +723,7 @@ def _count_extensions_bipartite_fst(p: Poset, memory_budget: int) -> int:
     """The F(S, t) recurrence over every subset S of the lower side."""
     x_side, y_side = p.bipartition()
     nx = len(x_side)
-    if 1 << nx > memory_budget:
-        raise ResourceLimit(f"2^{nx} subset table exceeds the memory budget")
+    charge(f"2^{nx} subset table", 1 << nx, memory_budget)
     needs = _neighbor_masks(y_side, x_side, p.cover_down)
     return _prefix_dp(nx, needs, lambda masks: masks, memory_budget, "bipartite-fst")
 

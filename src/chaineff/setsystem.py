@@ -17,11 +17,12 @@ from .poset import (
     DEFAULT_MEMORY_BUDGET,
     MAX_ELEMENTS,
     Poset,
+    charge,
     count_layer_chains,
     enumerate_ideals,
     family_layers,
-    physical_bytes,
     read_records,
+    sorted_unique,
 )
 
 
@@ -36,10 +37,7 @@ class SetSystem:
     def __init__(self, n: int, members):
         if not 1 <= n <= MAX_ELEMENTS:
             raise InvalidSize(f"universe size must be in [1, {MAX_ELEMENTS}]")
-        masks = np.sort(_mask_array(n, members))
-        distinct = np.ones(len(masks), dtype=bool)
-        distinct[1:] = masks[1:] != masks[:-1]
-        masks = masks[distinct]
+        masks = sorted_unique(_mask_array(n, members))
         # a stable popcount sort of the sorted values orders by (popcount, value)
         masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
         masks.flags.writeable = False
@@ -119,7 +117,7 @@ def tower_of_cubes(t: int, k: int, memory_budget: int = DEFAULT_MEMORY_BUDGET) -
         raise InvalidSize("tower needs t, k >= 1")
     if t * k > MAX_ELEMENTS:
         raise InvalidSize(f"universe {t * k} exceeds {MAX_ELEMENTS}")
-    check_family_size(k * ((1 << t) - 1) + 1, memory_budget, "tower")
+    charge(f"tower:{t}:{k}", k * ((1 << t) - 1) + 1, memory_budget)
     subsets = np.arange((1 << t) - 1, dtype=np.uint64)
     blocks = [np.uint64((1 << (s * t)) - 1) | (subsets << np.uint64(s * t)) for s in range(k)]
     members = np.concatenate([*blocks, np.array([(1 << (t * k)) - 1], dtype=np.uint64)])
@@ -148,20 +146,8 @@ def cartesian_power(
         raise InvalidSize("power needs k >= 1")
     if k * a.n > MAX_ELEMENTS:
         raise InvalidSize(f"universe {k * a.n} exceeds {MAX_ELEMENTS}")
-    check_family_size(len(a) ** k, memory_budget, f"|A|^{k}")
+    charge(f"the power A^{k}", len(a) ** k, memory_budget)
     return SetSystem(k * a.n, product_family([a] * k))
-
-
-def check_family_size(size: int, memory_budget: int, what: str) -> None:
-    """Refuse a family of ``size`` masks past the budget or past physical memory.
-
-    The uint64 masks alone take 8 bytes each, so a budget far above the
-    machine still stops before numpy is asked for them.
-    """
-    if size > memory_budget:
-        raise ResourceLimit(f"{what}: {size} masks exceed the memory budget")
-    if 8 * size > physical_bytes():
-        raise ResourceLimit(f"{what}: {size} masks take {8 * size} bytes, over physical memory")
 
 
 def product_family(groups: Sequence[SetSystem]) -> np.ndarray:

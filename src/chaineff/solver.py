@@ -22,13 +22,8 @@ import numpy as np
 
 from .arraydp import SCRATCH_ENTRIES, ArrayDP
 from .cover import PermutationCover, greedy_cover, randomized_cover
-from .errors import (
-    InvalidInstance,
-    InvalidSetSystem,
-    ResourceLimit,
-    UnsupportedSemiring,
-)
-from .poset import DEFAULT_MEMORY_BUDGET
+from .errors import InvalidInstance, InvalidSetSystem, UnsupportedSemiring
+from .poset import DEFAULT_MEMORY_BUDGET, charge
 from .semiring import (
     ARRAY_INF,
     INF,
@@ -36,7 +31,7 @@ from .semiring import (
     TspInstance,
     tsp_weight_array,
 )
-from .setsystem import SetSystem, cartesian_power, check_family_size, product_family, restriction
+from .setsystem import SetSystem, cartesian_power, product_family, restriction
 
 
 @dataclass
@@ -216,8 +211,7 @@ def solve_gurevich_shelah(
     stats = SolveStats()
     t0 = time.monotonic()
     halves = (ceil(n / 2), n // 2) if n > 3 else ()
-    if sum(k * (k - 1) for k in (n, *halves)) > memory_budget:
-        raise ResourceLimit("the path tables of one split exceed the memory budget")
+    charge("gs split", sum(k * (k - 1) for k in (n, *halves)), memory_budget)
     w = tsp_weight_array(inst)
     inf = ARRAY_INF
     if w is None:
@@ -225,8 +219,7 @@ def solve_gurevich_shelah(
     table, peak, held = _path_tables(np.arange(n)[None], w, inf, stats)
     stats.peak_resident_entries = stats.sweep_peak_entries = int(peak[0])
     stats.batch_resident_entries = held
-    if stats.peak_resident_entries > memory_budget:
-        raise ResourceLimit("path tables exceed the memory budget")
+    charge("gs recursion", stats.peak_resident_entries, memory_budget)
     best = (table[0, 0, 1:] + w[1:, 0]).min()
     stats.wall_time = time.monotonic() - t0
     return SolveResult(value=INF if best >= inf else int(best), witness=None, stats=stats)
@@ -333,7 +326,7 @@ def solve_chain_tradeoff(
     system = cartesian_power(system, g)
     s = ceil(problem.n / system.n)
     groups = [system] * (s - 1) + [restriction(system, problem.n - (s - 1) * system.n)]
-    check_family_size(prod(map(len, groups)), memory_budget, f"the product family of {s} groups")
+    charge(f"the product family of {s} groups", prod(map(len, groups)), memory_budget)
     t0 = time.monotonic()
     covers = {a: _build_cover(a, strategy, seed) for a in dict.fromkeys(groups)}
     family = product_family(groups)
@@ -352,7 +345,7 @@ def solve_held_karp(
     """
     n = problem.n
     t0 = time.monotonic()
-    check_family_size(1 << n, memory_budget, "the 2^N prefix sets")
+    charge(f"the family of 2^{n} prefix sets", 1 << n, memory_budget)
     identity = PermutationCover(n, (tuple(range(n)),), True)
     family = np.arange(1 << n, dtype=np.uint64)
     return _solve(problem, memory_budget, family, [identity], t0)

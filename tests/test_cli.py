@@ -2,14 +2,18 @@
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import chaineff.poset
 from chaineff.cli import _BUILTINS, _parse_builtin, run
 from chaineff.efficiency import inv_eta_string
 from chaineff.setsystem import SetSystem
@@ -212,7 +216,9 @@ class TestSolve:
         assert "Traceback" not in capsys.readouterr().err
         # the tower's 7 members fit, so the solver refuses its DP table
         assert run(["--memory-budget", "7", *argv]) == 3
-        assert capsys.readouterr().err == "resource limit: DP table exceeds the memory budget\n"
+        assert capsys.readouterr().err == (
+            "resource limit: DP table needs 10 resident entries, over the budget of 7\n"
+        )
 
     def test_tradeoff_on_an_ideal_family(self, capsys, tmp_path):
         f = tmp_path / "six.txt"
@@ -304,6 +310,55 @@ class TestSolve:
         assert run([*argv, *algo]) == 3
         assert_one_line_error(capsys, "resource limit: ")
 
+    @pytest.mark.parametrize("problem", ["tsp", "dfas"])
+    def test_held_karp_holds_its_largest_byte_charge(self, capsys, monkeypatch, tmp_path, problem):
+        # under a budget far above the machine, physical memory is the guard;
+        # each refusal names the bytes it needed, so raising the machine to
+        # them in turn ends at the largest charge: it runs there, within 1.5
+        # times its peak, and one byte fewer is refused
+        rng, f = random.Random(5), tmp_path / "input.txt"
+        if problem == "tsp":
+            rows = [[0 if i == j else rng.randint(1, 1000) for j in range(13)] for i in range(13)]
+            f.write_text("13\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+        else:
+            arcs = [(u, v) for u in range(14) for v in range(14) if u != v and rng.random() < 0.3]
+            f.write_text(f"14 {len(arcs)}\n" + "".join(f"{u} {v}\n" for u, v in arcs))
+        flag = "--matrix" if problem == "tsp" else "--graph"
+        argv = ["--memory-budget", str(10**12), "solve", problem, flag, str(f)]
+        argv += ["--algo", "held-karp"]
+        machine = [0]
+        monkeypatch.setattr(chaineff.poset, "physical_bytes", lambda: machine[0])
+        for _ in range(40):
+            if run(argv) == 0:
+                break
+            err = capsys.readouterr().err
+            need = re.fullmatch(r"resource limit: .* needs (\d+) bytes, over physical memory\n", err)
+            machine[0] = int(need.group(1))
+        largest = machine[0]
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert largest > 1_000_000 and peak <= 1.5 * largest
+        capsys.readouterr()
+        machine[0] = largest - 1
+        assert run(argv) == 3
+        assert_one_line_error(capsys, "resource limit: DP plan needs")
+
+    @pytest.mark.parametrize(
+        "error", [MemoryError(), MemoryError("Unable to allocate 8.00 EiB for an array")]
+    )
+    def test_memory_error_exit_3(self, capsys, monkeypatch, error):
+        def exhausted(*args):
+            raise error
+
+        monkeypatch.setattr("chaineff.cli.count_ideals", exhausted)
+        assert run(["count", "ideals", "--builtin", "matchcomp:3"]) == 3
+        assert_one_line_error(capsys, "resource limit: ")
+
     @pytest.mark.parametrize("budget", ["-1", "0"])
     @pytest.mark.parametrize(
         "command",
@@ -359,7 +414,7 @@ class TestVerify:
         code, doc = run_json(capsys, ["--memory-budget", "262143", "verify", "counterexample"])
         assert code == 0 and doc["status"] == "PASS"
         assert run(["--memory-budget", "262142", "verify", "counterexample"]) == 3
-        assert_one_line_error(capsys, "resource limit: tower: 262143 masks")
+        assert_one_line_error(capsys, "resource limit: tower:17:2 needs 262143 resident entries")
 
     def test_power_identity(self, capsys):
         code, doc = run_json(capsys, ["verify", "power-identity"])

@@ -181,6 +181,20 @@ def rotation_classes(m, k):
     )
 
 
+def byte_charges(monkeypatch, call):
+    """(what, bytes) of each ``chaineff.poset.charge`` that ``call()`` makes."""
+    charges, real = [], chaineff.poset.charge
+
+    def spy(what, entries, memory_budget, nbytes=None):
+        charges.append((what, 8 * entries if nbytes is None else nbytes))
+        real(what, entries, memory_budget, nbytes)
+
+    monkeypatch.setattr(chaineff.poset, "charge", spy)
+    call()
+    monkeypatch.setattr(chaineff.poset, "charge", real)
+    return charges
+
+
 def dense_transfer_trace(p):
     """Oracle: the ideal count of a circulant as the trace of M^m, each
     start state s0 walking m full steps over all 2^w states (w = max D).
@@ -628,7 +642,8 @@ class TestLayerKernel:
         )
         tracemalloc.start()
         try:
-            with pytest.raises(ResourceLimit, match="124992 next-layer edges pass physical memory"):
+            refusal = r"by 124992 edges\) needs 4999680 bytes, over physical memory"
+            with pytest.raises(ResourceLimit, match=refusal):
                 count_ideals(p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -831,17 +846,40 @@ class TestPrefixKernel:
         ],
     )
     def test_edges_past_physical_memory_are_refused(self, monkeypatch, method, layer_edges):
-        # the widest layer's down edges, on a machine whose memory holds one
-        # edge fewer, are refused before the layer is built; one more fits
+        # every layer's down edges are charged before they are built, and its
+        # limbs before they are summed; on a machine whose memory holds the
+        # largest charge the count runs, and one byte fewer is refused
         p = make_circulant(11, (0, 2, 5))
         lam = count_linear_extensions(p, "ideal-dp")
-        edges = max(layer_edges())
-        per_edge = chaineff.poset._EDGE_BYTES
-        monkeypatch.setattr(chaineff.poset, "physical_bytes", lambda: per_edge * edges)
+        charges = byte_charges(monkeypatch, lambda: count_linear_extensions(p, method))
+        edges = [int(what.split("(")[1].split()[0]) for what, _ in charges if "edges" in what]
+        assert edges == layer_edges()[::-1]
+        most = max(nbytes for _, nbytes in charges)
+        monkeypatch.setattr(chaineff.poset, "physical_bytes", lambda: most)
         assert count_linear_extensions(p, method) == lam
-        monkeypatch.setattr(chaineff.poset, "physical_bytes", lambda: per_edge * (edges - 1))
-        with pytest.raises(ResourceLimit, match=f"^{method} layer: {edges} edges pass physical memory$"):
+        monkeypatch.setattr(chaineff.poset, "physical_bytes", lambda: most - 1)
+        refusal = rf"^{method} layer.* needs {most} bytes, over physical memory$"
+        with pytest.raises(ResourceLimit, match=refusal):
             count_linear_extensions(p, method)
+
+    def test_layer_limbs_past_physical_memory_are_refused(self, monkeypatch):
+        # circulant:22:0 holds its widest layer's limbs in about 50 MB, of
+        # which its edges are a quarter
+        monkeypatch.setattr(chaineff.poset, "physical_bytes", lambda: 16_000_000)
+        refusal = r"^orbit layer needs \d+ bytes, over physical memory$"
+        with pytest.raises(ResourceLimit, match=refusal):
+            count_linear_extensions(make_circulant(22, (0,)), "orbit")
+
+    @pytest.mark.parametrize("m,offsets", [(20, (0,)), (22, (0,)), (22, (0, 1, 2, 4, 9))])
+    def test_peak_is_within_the_largest_charge(self, monkeypatch, m, offsets):
+        p = make_circulant(m, offsets)
+        tracemalloc.start()
+        try:
+            charges = byte_charges(monkeypatch, lambda: count_linear_extensions(p, "orbit"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * max(nbytes for _, nbytes in charges)
 
     def test_fst_rejects_height_three(self):
         with pytest.raises(MethodMismatch, match="not bipartite"):

@@ -7,7 +7,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-import chaineff.setsystem
+import chaineff.poset
 from chaineff.errors import InvalidSize, ResourceLimit
 from chaineff.poset import Poset, count_linear_extensions, make_chain
 from chaineff.setsystem import (
@@ -124,9 +124,9 @@ class TestChainCounting:
     def test_tower_size_is_checked_against_the_budget(self, monkeypatch):
         # tower:4:2 has 31 members
         assert len(tower_of_cubes(4, 2, memory_budget=31)) == 31
-        with pytest.raises(ResourceLimit, match="tower: 31 masks exceed the memory budget"):
+        with pytest.raises(ResourceLimit, match="tower:4:2 needs 31 resident entries, over the"):
             tower_of_cubes(4, 2, memory_budget=30)
-        monkeypatch.setattr(chaineff.setsystem, "physical_bytes", lambda: 8 * 30)
+        monkeypatch.setattr(chaineff.poset, "physical_bytes", lambda: 8 * 30)
         with pytest.raises(ResourceLimit, match="over physical memory"):
             tower_of_cubes(4, 2)
 
