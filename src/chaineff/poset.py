@@ -289,10 +289,12 @@ def family_layers(family, n: int):
     ``family`` holds distinct uint64 masks over n elements, sorted by
     (popcount, value).  Yields n + 1 tuples (layer, src, starts) in the
     format of ``_ideal_layers``, the edges into a child ordered by element;
-    every layer after an empty one is empty.  A member of k elements has k
-    candidate parents, one per peeled low bit, looked up in the layer below
-    one peel row at a time, where the queries are nearly sorted.  An edge's
-    element is not stored: it is bitwise_count((child ^ parent) - 1).
+    every layer after an empty one is empty.  Every parent holds the core
+    of the layer below, the AND of its members, so a member of k elements
+    has k - |core| candidate parents, one per peeled bit outside the core,
+    looked up in the layer below one peel row at a time, where the queries
+    are nearly sorted.  An edge's element is not stored: it is
+    bitwise_count((child ^ parent) - 1).
     """
     ends = np.searchsorted(np.bitwise_count(family), np.arange(n + 2)).tolist()
     layer = family[: ends[1]]
@@ -304,26 +306,36 @@ def family_layers(family, n: int):
         yield layer, src, starts
 
 
-#: Candidate parents searched at once: about 3 MB of working arrays, and on
-#: tower:17:2 as fast as one search per layer with 13 MB less peak RSS.
+#: Candidate parents searched at once: about 3 MB of working arrays.  On
+#: tower:17:2 (2-core VM) the walk took 55-67 ms from 2^15 to 2^20, as fast
+#: as one search per layer (62 ms), at a 7.7 MB tracemalloc peak against 10.0.
 _PEEL_ENTRIES = 1 << 17
 
 
 def _edges_into(cand, k, below):
     """(layer, src, starts) of the members of ``cand``, sorted masks of k
-    elements, that have a parent in ``below``, in blocks of candidates."""
+    elements, that have a parent in ``below``, in blocks of candidates.
+
+    Every parent holds the core, the AND of ``below``, so a candidate
+    loses only one of its bits outside the core, k - |core| peel rows.  A
+    candidate that lacks a core bit gets queries that lack it too, which
+    miss, so it is dropped."""
+    core = np.bitwise_and.reduce(below) if below.size else np.uint64(0)
+    peel = k - int(np.bitwise_count(core))
     srcs, counts = [], []
-    step = _PEEL_ENTRIES // k
+    step = _PEEL_ENTRIES // peel
     for lo in range(0, max(cand.size, 1), step):
         block = cand[lo : lo + step]
-        # row j first holds each candidate less its j + 1 lowest bits; the
-        # xor with row j - 1 and the candidate leaves only the (j + 1)-th out
-        parents = np.empty((k, block.size), dtype=np.uint64)
-        rest = block
+        # row j first holds each candidate's bits outside the core less the
+        # j + 1 lowest; the xor with row j - 1 and the candidate leaves only
+        # the (j + 1)-th out, and row 0 gets the candidate's core bits back
+        parents = np.empty((peel, block.size), dtype=np.uint64)
+        rest = block & ~core
         for row in parents:
             np.bitwise_and(rest, rest - 1, out=row)
             rest = row
         parents[1:] ^= parents[:-1] ^ block
+        parents[0] |= block & core
         at = below.searchsorted(parents)
         hit = below.take(at, mode="clip") == parents
         # the hits in (candidate, row) order, which is child then element
@@ -393,7 +405,7 @@ def enumerate_ideals(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):
 #: uint64): big enough to amortise numpy's per-call cost, small enough to
 #: keep the kernels' memory flat.  On m = 25 circulants with max D = 12
 #: (three offset sets, 2-core VM) the transfer trace measured fastest at
-#: 2^18-2^19 (78-81 ms), 83-93 ms at 2^17 and 86-91 ms at 2^20; the
+#: 2^17-2^19 (48-52 ms), 59-63 ms at 2^16 and 60-80 ms at 2^20-2^21; the
 #: bipartite sum over distinct ORs took 33-42 ms from 2^15 to 2^20 and
 #: 55-65 ms at 2^21.  Each kernel peaks at about two blocks.  The F(S, t)
 #: kernel gathers one block of limbs at a time; on circulant:22:0,1,2,4,9
@@ -435,7 +447,10 @@ def _or_closure_sum(neighbor_masks, other_side_size, memory_budget):
         raise ResourceLimit(f"bipartite-sum side of {s} elements is too large")
     lo = s // 2
     rows = min(1 << (s - lo), max(1, _BLOCK_ENTRIES >> lo))
-    charge("bipartite-sum", (1 << lo) + (1 << (s - lo)) + (rows << lo), memory_budget)
+    entries = (1 << lo) + (1 << (s - lo)) + (rows << lo)
+    # each entry is a uint64 held beside a float64: an OR and its
+    # multiplicity, a merged OR (then its size) and its weight
+    charge("bipartite-sum", entries, memory_budget, 16 * entries)
     lo_ors, lo_mult = np.unique(_subset_ors(neighbor_masks[:lo]), return_counts=True)
     hi_ors, hi_mult = np.unique(_subset_ors(neighbor_masks[lo:]), return_counts=True)
     lo_mult, hi_mult = lo_mult.astype(np.float64), hi_mult.astype(np.float64)
@@ -477,24 +492,28 @@ def _transfer_trace(p: CirculantBipartitePoset, memory_budget: int) -> int:
     contributes weight 2 when every x it needs is present and 1 otherwise.
     Cyclic closure = closed walks of length m, i.e. trace of M^m.
 
-    Columns are a block of start states s0.  A closed walk from s0 appends
-    m bits: the first m - w are free, and the last w must be s0's own bits,
-    top bit first.  So a column's rows index only the free bits in the
-    window, as a cube of shape (2,)*f + (columns,) with the oldest free bit
-    on axis 0.  A step doubles the rows when a free bit enters, and halves
-    them by one lo + hi add when a free bit leaves (every step after w).
-    Rows peak at 2^min(w, m - w), and each column ends as one entry, its
-    diagonal entry.
+    Columns are a block of 2^c start states s0 (c <= w) that share their
+    bits from c up, so the columns form a cube of c axes, s0's bit c - 1
+    first.  A closed walk from s0 appends m bits: the first m - w are free,
+    and the last w must be s0's own bits, top bit first.  So a column's
+    rows index only the free bits in the window, as a cube of shape
+    (2,)*f + (2,)*c with the oldest free bit on axis 0.  A step doubles the
+    rows when a free bit enters, and halves them by one lo + hi add when a
+    free bit leaves (every step after w).  Rows peak at 2^min(w, m - w),
+    and each column ends as one entry, its diagonal entry.
 
     The y closed at step t needs the bits appended at steps t - w + d for
     d in D, step j <= 0 being s0's bit -j and step j > m - w s0's bit m - j.
-    Its weight-2 test is a strided sub-cube of the rows (the free bits it
-    needs set) and a mask over s0 (s0's bits it needs set); the entries
-    that pass count their walks twice.  Whether a step halves or doubles,
-    its sub-cube and its s0 bits form a plan built once, before the
+    Its weight-2 test is one strided sub-cube of rows and columns (the free
+    bits and s0's low c bits it needs set) and a test of the block's shared
+    high bits; the entries that pass count their walks twice, and a block
+    whose high bits fail skips the add.  Whether a step halves or doubles,
+    its sub-cube and its high bits form a plan built once, before the
     blocks.  A block runs in two buffers of the peak size: a halving adds
     the hi half into the lo half in place, and a doubling copies the
-    rows into both halves of the new axis in the other buffer.
+    rows into both halves of the new axis in the other buffer.  Both
+    buffers are charged against physical memory, and the block, never
+    below the 2^w start states, against the budget.
 
     uint64 is exact: every entry is an entry of M^t, which sums at most
     2^max(0, t-w) walks of weight at most 2^t, so it is at most
@@ -507,11 +526,16 @@ def _transfer_trace(p: CirculantBipartitePoset, memory_budget: int) -> int:
         return 3**m  # D = {0}: m disjoint covers x_i < y_i, 3 ideals each
     free = m - w
     peak_bits = min(w, free)  # a column holds at most 2^peak_bits rows
-    cols = min(1 << w, max(1, _BLOCK_ENTRIES >> peak_bits))
-    # one block is resident, but the charge is never below the 2^w start
-    # states, so a w past the budget is refused before it runs
-    charge("circulant-transfer", max(cols << peak_bits, 1 << w), memory_budget)
-    plan = []  # per step: (free bits held, halves, reads hi, sub-cube, s0's bits, doubles)
+    c = min(w, max(1, _BLOCK_ENTRIES >> peak_bits).bit_length() - 1)
+    cols = 1 << c  # s0's low c bits are the column cube's axes
+    # one block is resident, in two uint64 buffers, but the entries charged
+    # are never below the 2^w start states, so a w past the budget is
+    # refused before it runs
+    block = cols << peak_bits
+    charge("circulant-transfer", max(block, 1 << w), memory_budget, 16 * block)
+    # per step: (free bits held, halves, reads hi, sub-cube, s0's high bits,
+    # the new axis when a free bit enters, the sub-cube that gains)
+    plan = []
     held = 0
     for t in range(1, m + 1):
         first = max(1, t - w)  # the oldest free step in the window, on axis 0
@@ -525,33 +549,35 @@ def _transfer_trace(p: CirculantBipartitePoset, memory_budget: int) -> int:
                 rows[j - first] = 1
         halves, doubles = t > w, t <= free
         reads_hi = halves and rows.pop(0) == 1
-        plan.append((held, halves, reads_hi, tuple(rows), forced, doubles))
+        # s0's bit b < c is column axis c - 1 - b
+        cube = tuple(1 if forced >> b & 1 else slice(None) for b in reversed(range(c)))
+        sub = (*rows, *cube)
+        if doubles:  # the new free bit's axis follows the held ones; its 1 rows gain
+            spread, gain = (slice(None),) * len(rows) + (None,), (*rows, 1, *cube)
+        else:  # s0's bit m - t enters; the sub-cube or the block test holds it
+            spread, gain = None, sub
+        plan.append((held, halves, reads_hi, sub, forced >> c, spread, gain))
         held += doubles - halves
-    cur, other = np.empty((2, cols << peak_bits), dtype=np.uint64)
+    cur, other = np.empty((2, block), dtype=np.uint64)
     total = 0
-    for start in range(0, 1 << w, cols):
-        s0 = np.arange(start, min(start + cols, 1 << w), dtype=np.uint64)
-        n = s0.size
-        cur[:n] = 1
-        for held, halves, reads_hi, rows, forced, doubles in plan:
-            vec = src = cur[: n << held].reshape((2,) * held + (n,))
+    for high in range(1 << (w - c)):  # s0 >> c
+        cur[:cols] = 1
+        for held, halves, reads_hi, sub, forced, spread, gain in plan:
+            # a trailing length-1 axis keeps a sub-cube of one entry a view
+            vec = src = cur[: cols << held].reshape((2,) * (held + c) + (1,))
             if halves:  # the oldest free bit leaves: lo + hi, in place
                 lo, hi = vec
                 np.add(lo, hi, out=lo)
                 vec, src = lo, hi if reads_hi else lo
-            if doubles:  # a free bit enters; only its 1 rows gain
-                grown = other[: 2 * vec.size].reshape(vec.shape[:-1] + (2, n))
-                np.copyto(grown, vec[..., None, :])
-                dst = grown[..., 1, :][rows]
+            if spread is not None:  # a free bit enters: copy into both halves
+                grown = other[: 2 * vec.size].reshape((2,) * vec.ndim + (1,))
+                np.copyto(grown, vec[spread])
+                vec = grown
                 cur, other = other, cur
-            else:  # s0's bit m - t enters; the mask already holds it
-                dst = vec[rows]
-            if forced:
-                col = (s0 & np.uint64(forced)) == forced
-                np.add(dst, src[rows], out=dst, where=col)
-            else:
-                np.add(dst, src[rows], out=dst)
-        total += sum(cur[:n].tolist())
+            if high & forced == forced:  # else no start state of the block passes
+                dst = vec[gain]
+                np.add(dst, src[sub], out=dst)
+        total += sum(cur[:cols].tolist())
     return total
 
 
@@ -789,12 +815,13 @@ def default_count_methods(p: Poset):
     """(ideal method, extension method) poset_efficiency would pick.
 
     For a circulant the cheaper ideal kernel by estimated work: the
-    transfer trace writes about 2^w * (|m - 2w| + 3) * 2^min(w, m - w)
-    entries (w = max D), the bipartite sum at most 2^m, one per pair of
-    distinct subset ORs of its two halves.  The rule compares that upper
-    bound, so the pick does not depend on how many ORs repeat.  Its
-    extensions are counted by orbit, which keeps about 2^m / m rotation
-    classes where bipartite-fst keeps 2^m sets.
+    transfer trace writes at most 2^w * (|m - 2w| + 3) * 2^min(w, m - w)
+    entries (w = max D), fewer when a block of start states skips a
+    weight-2 add, and the bipartite sum at most 2^m, one per pair of
+    distinct subset ORs of its two halves.  The rule compares these upper
+    bounds, so the pick depends neither on how many adds a block skips nor
+    on how many ORs repeat.  Its extensions are counted by orbit, which
+    keeps about 2^m / m rotation classes where bipartite-fst keeps 2^m sets.
     """
     if isinstance(p, CirculantBipartitePoset):
         m, w = p.m, max(p.offsets)

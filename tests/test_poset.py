@@ -39,7 +39,12 @@ from chaineff.poset import (
     poset_to_text,
     _ideal_layers,
 )
-from chaineff.setsystem import SetSystem, count_maximal_chains, tower_of_cubes
+from chaineff.setsystem import (
+    SetSystem,
+    cartesian_power,
+    count_maximal_chains,
+    tower_of_cubes,
+)
 
 
 def brute_ideals(p):
@@ -160,6 +165,43 @@ def object_layer_chains(layers):
         ways[found] = counts[at[found]]
         prev, counts = layer, ways.sum(axis=0)
     return int(counts.sum())
+
+
+def brute_family_layers(family, n):
+    """Oracle: the (layer, src, starts) tuples of ``family_layers``, each
+    member scanned for the members of the kept layer below that it holds,
+    by element, and kept when it holds one."""
+    members = family.tolist()
+    prev = [0] if 0 in members else []
+    layers = [(prev, [], [])]
+    for k in range(1, n + 1):
+        at = {parent: i for i, parent in enumerate(prev)}
+        layer, src, starts = [], [], []
+        for child in sorted(x for x in members if x.bit_count() == k):
+            parents = [at[child ^ 1 << v] for v in range(n) if child ^ 1 << v in at]
+            if parents:
+                starts.append(len(src))
+                layer.append(child)
+                src += parents
+        layers.append((layer, src, starts))
+        prev = layer
+    return [
+        tuple(np.array(x, dtype=t) for x, t in zip(layer, (np.uint64, np.intp, np.intp)))
+        for layer in layers
+    ]
+
+
+def assert_same_layers(got, expect):
+    """The (layer, src, starts) tuples agree, array for array and in dtype."""
+    assert len(got) == len(expect)
+    for got_arrays, expect_arrays in zip(got, expect):
+        for a, b in zip(got_arrays, expect_arrays):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def as_family(masks):
+    """Distinct masks as a uint64 array sorted by (popcount, value)."""
+    return np.array(sorted(set(masks), key=lambda x: (x.bit_count(), x)), dtype=np.uint64)
 
 
 def system_layers(a):
@@ -345,9 +387,9 @@ class TestIdealCounting:
     @pytest.mark.parametrize("shape", ["m<2w", "m=2w", "m>2w"])
     @pytest.mark.parametrize("cols", [None, 1, 8, 3])
     def test_transfer_matches_dense_trace(self, monkeypatch, shape, cols):
-        # cols None runs the real block; 1, 8 and 3 force blocks of that
-        # many start states, and 3, which does not divide 2^w, leaves a
-        # short last block
+        # cols None runs the real block; 1 and 8 force blocks of that many
+        # start states, and 3, which is not a power of two, is rounded down
+        # to blocks of 2, so no block is short
         rng = random.Random(f"{shape}{cols}")
         for _ in range(25):
             if shape == "m<2w":
@@ -365,6 +407,35 @@ class TestIdealCounting:
             if cols is not None:
                 monkeypatch.setattr(chaineff.poset, "_BLOCK_ENTRIES", cols << min(w, m - w))
             assert count_ideals(p, "circulant-transfer") == dense_transfer_trace(p), p
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_transfer_blocks_skip_adds_their_high_bits_fail(self, monkeypatch, seed):
+        # wide circulants in 8 to 32 blocks of 2^c start states; the step
+        # that appends s0's top bit w - 1 tests a bit past c, so at least the
+        # block of high bits 0 skips its add
+        rng = random.Random(700 + seed)
+        w = rng.randint(10, 12)
+        m = rng.randint(max(20, w + 1), 25)
+        p = make_circulant(m, {w, *rng.sample(range(w), rng.randint(1, 4))})
+        c = w - rng.randint(3, 5)
+        monkeypatch.setattr(chaineff.poset, "_BLOCK_ENTRIES", 1 << (min(w, m - w) + c))
+
+        class CountedAdds:
+            adds = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def add(self, *args, **kwargs):
+                CountedAdds.adds += 1
+                return np.add(*args, **kwargs)
+
+        monkeypatch.setattr(chaineff.poset, "np", CountedAdds())
+        value = count_ideals(p, "circulant-transfer")
+        monkeypatch.undo()
+        # unskipped, every block makes one add per step and one per halving
+        assert CountedAdds.adds < (1 << (w - c)) * (m + m - w)
+        assert value == count_ideals(p, "bipartite-sum") == dense_transfer_trace(p), p
 
     @pytest.mark.parametrize(
         "m,offsets", [(16, (1, 3, 8)), (13, (6,)), (12, (2, 5, 6)), (32, (0, 3, 10))]
@@ -427,7 +498,8 @@ class TestIdealCounting:
     @pytest.mark.parametrize("method", ["bipartite-sum", "circulant-transfer"])
     def test_kernel_peak_is_about_two_blocks(self, method):
         # each kernel peaks at 2.05 blocks of _BLOCK_ENTRIES uint64 entries:
-        # its two block buffers and a few arrays of distinct ORs or start states
+        # its two block buffers and, for bipartite-sum, a few arrays of
+        # distinct ORs
         p = make_circulant(25, (0, 2, 3, 10, 12))
         tracemalloc.start()
         try:
@@ -437,6 +509,31 @@ class TestIdealCounting:
             tracemalloc.stop()
         assert value == 217984283
         assert peak < 2.5 * chaineff.poset._BLOCK_ENTRIES * 8
+
+    @pytest.mark.parametrize("method", ["bipartite-sum", "circulant-transfer"])
+    @pytest.mark.parametrize("builtin", ["24:0,3,11", "25:0,2,3,10,12", "28:0,1,5,13"])
+    def test_block_kernel_peak_is_within_its_byte_charge(
+        self, monkeypatch, capsys, builtin, method
+    ):
+        # both of a kernel's blocks are charged in bytes: its peak is within
+        # 1.5 times its largest charge, and a machine one byte smaller
+        # refuses the count with one line
+        m, offsets = builtin.split(":")
+        p = make_circulant(int(m), map(int, offsets.split(",")))
+        tracemalloc.start()
+        try:
+            charges = byte_charges(monkeypatch, lambda: count_ideals(p, method))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        most = max(nbytes for _, nbytes in charges)
+        assert peak <= 1.5 * most
+        monkeypatch.setattr(chaineff.poset, "physical_bytes", lambda: most - 1)
+        argv = ["count", "ideals", "--builtin", f"circulant:{builtin}", "--method", method]
+        assert cli.run(argv) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"resource limit: {method} needs {most} bytes, over physical memory\n"
 
     @pytest.mark.parametrize("method", ["bipartite-sum", "circulant-transfer"])
     def test_kernels_check_budget(self, method):
@@ -527,6 +624,38 @@ class TestLayerKernel:
         for got, expect in zip(lookup, walk):
             for a, b in zip(got, expect):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "family,n",
+        [
+            *[
+                (lambda t=t, k=k: tower_of_cubes(t, k).masks, t * k)
+                for t in range(1, 7)
+                for k in range(1, 4)
+            ],
+            (lambda: cartesian_power(tower_of_cubes(2, 2), 2).masks, 8),
+            # layer 1 is {0b1}, whose core 0b1 the candidate 0b110 lacks
+            (lambda: as_family([0, 0b1, 0b11, 0b101, 0b110, 0b111, 0b1111]), 4),
+            # layer 3 is empty, so layer 4 is, though 0b1111 is a member
+            (lambda: as_family([0, 0b1, 0b11, 0b1111]), 4),
+            (lambda: as_family([0b1, 0b11]), 2),
+        ],
+        ids=[f"tower:{t}:{k}" for t in range(1, 7) for k in range(1, 4)]
+        + ["tower:2:2^2", "lacks-core", "empty-middle", "no-empty-set"],
+    )
+    def test_family_layers_match_a_parent_scan(self, family, n):
+        family = family()
+        assert_same_layers(list(family_layers(family, n)), brute_family_layers(family, n))
+
+    @settings(max_examples=60)
+    @given(st.integers(min_value=1, max_value=10).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=300))
+    ))
+    def test_family_layers_match_a_parent_scan_property(self, drawn):
+        # random families that hold the empty set
+        n, masks = drawn
+        family = as_family([0, *masks])
+        assert_same_layers(list(family_layers(family, n)), brute_family_layers(family, n))
 
     @settings(max_examples=60)
     @given(posets(max_n=16))
