@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ResourceLimit
-from .poset import _EDGE_BYTES, charge, family_layers, fan_out, sorted_unique
+from .poset import _EDGE_BYTES, by_popcount, charge, edge_ends, family_layers, fan_out
 from .semiring import ARRAY_INF, INF, MIN_PLUS, ArrayCosts, PermutationProblem
 
 # entries of one (tuples, transitions) scratch array; bounds the batch size,
@@ -67,8 +67,7 @@ def build_plan(family: np.ndarray, n: int, degree: int, budget: int) -> list[_La
     """
     if n > 64:
         raise ResourceLimit("the DP plan holds masks of at most 64 elements")
-    family = sorted_unique(np.concatenate([family, np.zeros(1, dtype=np.uint64)]))
-    family = family[np.argsort(np.bitwise_count(family), kind="stable")]
+    family = by_popcount(np.concatenate([family, np.zeros(1, dtype=np.uint64)]))
     below_mask = np.zeros(1, dtype=np.int64)  # degree >= 2: states' indices into ``masks``
     below_keys = np.zeros((1, 0), dtype=np.int64)  # degree >= 2: states' keys, last element last
     stored = 0
@@ -84,8 +83,7 @@ def build_plan(family: np.ndarray, n: int, degree: int, budget: int) -> list[_La
             counts = first[up + 1] - lo
         stored += len(up) if degree == 1 else int(counts.sum())
         charge("DP plan", stored, budget, _EDGE_BYTES * stored)
-        child = opened.searchsorted(np.arange(len(up)), side="right") - 1
-        elem = np.bitwise_count((reached[child] ^ masks[up]) - np.uint64(1)).astype(np.intp)
+        child, elem = edge_ends(reached, up, opened, masks)
         masks = reached
         if degree == 1:
             pred, starts, prev = up, opened, np.full(len(up), n)

@@ -53,10 +53,15 @@ def inverse_binary_entropy(y):
     y = mpmath.mpf(y)
     if not 0 <= y <= 1:
         raise ValueError("entropy values lie in [0, 1]")
-    lo, hi = mpmath.mpf(0), mpmath.mpf("0.5")
+    return _bisect(lambda p: binary_entropy(p) < y, mpmath.mpf(0), mpmath.mpf("0.5"))
+
+
+def _bisect(below, lo, hi):
+    """The point of [lo, hi] where ``below`` turns from true to false, by 200
+    halvings: ``below`` must be true left of it and false right of it."""
     for _ in range(200):
         mid = (lo + hi) / 2
-        if binary_entropy(mid) < y:
+        if below(mid):
             lo = mid
         else:
             hi = mid
@@ -117,13 +122,7 @@ def improved_upper_bound() -> BoundReport:
             return binary_entropy((1 - 2 * delta) / 3)
 
         lo, hi = mpmath.mpf("1e-9"), mpmath.mpf("0.5") - mpmath.mpf("1e-9")
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if rising(mid) < falling(mid):
-                lo = mid
-            else:
-                hi = mid
-        delta = (lo + hi) / 2
+        delta = _bisect(lambda d: rising(d) < falling(d), lo, hi)
         gamma = max(rising(delta), falling(delta))
         bound = (
             mpmath.power(2, gamma)

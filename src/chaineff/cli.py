@@ -18,7 +18,8 @@ from math import comb, factorial
 import mpmath
 
 from . import bounds as bounds_mod
-from .cover import SplitMix64, cover_size_bound, greedy_cover, randomized_cover
+from .cover import SplitMix64, cover_size_bound
+from .cover import greedy_cover, randomized_cover  # noqa: F401 (bench/spans.py wraps them here)
 from .errors import ChainEffError, ResourceLimit
 from .poset import (
     DEFAULT_MEMORY_BUDGET,
@@ -52,7 +53,7 @@ from .setsystem import (
     setsystem_from_text,
     tower_of_cubes,
 )
-from .solver import solve_chain_tradeoff, solve_gurevich_shelah, solve_held_karp
+from .solver import build_cover, solve_chain_tradeoff, solve_gurevich_shelah, solve_held_karp
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -204,12 +205,7 @@ def _cmd_chains(args) -> int:
 
 def _cmd_cover(args) -> int:
     a = _load(args, SetSystem)
-    if args.strategy == "greedy":
-        cov = greedy_cover(a)
-        seed = None
-    else:
-        cov = randomized_cover(a, args.seed)
-        seed = args.seed
+    cov = build_cover(a, args.strategy, args.seed)
     chains = count_maximal_chains(a)
     fields = {
         "n": cov.n,
@@ -218,7 +214,7 @@ def _cmd_cover(args) -> int:
         "greedy_bound": bounds_mod._fmt(mpmath.mpf(cover_size_bound(a.n, chains))),
         "perms": [list(p) for p in cov.perms],
     }
-    _emit("cover", args.strategy, fields, seed)
+    _emit("cover", args.strategy, fields, args.seed if args.strategy == "random" else None)
     return EXIT_OK
 
 

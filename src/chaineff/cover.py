@@ -14,7 +14,7 @@ from math import factorial, log
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidPermutation, NoChains, ResourceLimit
-from .poset import family_layers, fan_out
+from .poset import edge_ends, family_layers, fan_out
 from .setsystem import SetSystem, count_maximal_chains  # noqa: F401 (bench/spans.py wraps it here)
 
 # covers are built and verified over all of S_n, and ``_ranks`` looks ranks
@@ -90,29 +90,26 @@ def _chain_table(a: SetSystem):
     that ends on its parent.  Only the edges into members that reach [n]
     carry paths, so no row grows towards a dead end."""
     layers = list(family_layers(a.masks, a.n))
-    # heads[k]: the child of each edge into layer k + 1, as an index into it
-    heads = [
-        starts.searchsorted(np.arange(src.size), side="right") - 1 for _, src, starts in layers[1:]
-    ]
+    # ends[k]: the child of each edge into layer k + 1, as an index into
+    # it, and the element the edge adds
+    ends = [edge_ends(*into, below) for (below, _, _), into in zip(layers, layers[1:])]
     # live[k]: whether each edge into layer k + 1 ends on a member that
     # reaches [n], marked by a backward pass from the last layer
     live = [None] * a.n
     reach = np.ones(layers[-1][0].size, dtype=bool)
     for k in range(a.n - 1, -1, -1):
-        live[k] = reach[heads[k]]
+        live[k] = reach[ends[k][0]]
         reach = np.zeros(layers[k][0].size, dtype=bool)
         reach[layers[k + 1][1][live[k]]] = True
-    below = layers[0][0]
-    paths = np.zeros((below.size, 0), dtype=np.uint8)
-    # rows first[i] .. first[i] + sizes[i] - 1 end on below[i]
-    first, sizes = np.zeros(below.size, dtype=np.intp), np.ones(below.size, dtype=np.intp)
-    for (layer, src, starts), head, on in zip(layers[1:], heads, live):
+    roots = layers[0][0].size
+    paths = np.zeros((roots, 0), dtype=np.uint8)
+    # rows first[i] .. first[i] + sizes[i] - 1 end on member i of the layer below
+    first, sizes = np.zeros(roots, dtype=np.intp), np.ones(roots, dtype=np.intp)
+    for (_, src, starts), (_, elem), on in zip(layers[1:], ends, live):
         counts = sizes[src] * on
         rows, opens = fan_out(first[src], counts)
-        elem = np.bitwise_count((layer[head] ^ below[src]) - np.uint64(1))
-        paths = np.concatenate([paths[rows], elem.repeat(counts)[:, None]], axis=1)
+        paths = np.concatenate([paths[rows], elem.astype(np.uint8).repeat(counts)[:, None]], axis=1)
         first, sizes = opens[starts], np.add.reduceat(counts, starts)
-        below = layer
     return paths
 
 

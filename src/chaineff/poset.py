@@ -8,6 +8,7 @@ tests require them to agree bit-for-bit wherever more than one applies.
 from __future__ import annotations
 
 import os
+from graphlib import CycleError, TopologicalSorter
 from itertools import permutations
 from math import factorial
 
@@ -46,6 +47,11 @@ def charge(what: str, entries: int, memory_budget: int, nbytes: int | None = Non
         raise ResourceLimit(f"{what} needs {nbytes} bytes, over physical memory")
 
 
+def bits_of(mask: int) -> list[int]:
+    """The elements of ``mask``, ascending (the "0b" of ``bin`` holds no 1)."""
+    return [i for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
+
 class Poset:
     """Partial order given by its cover relation (a Hasse-diagram DAG)."""
 
@@ -67,37 +73,18 @@ class Poset:
         for u, v in self.covers:
             up[u] |= 1 << v
             down[v] |= 1 << u
-        # Longest-path layering doubles as the cycle check.
-        indeg = [bin(down[v]).count("1") for v in range(n)]
-        order = [v for v in range(n) if indeg[v] == 0]
-        seen = 0
-        succ = [0] * n
+        above = {v: bits_of(up[v]) for v in range(n)}
+        try:  # each element after those above it; a cycle has no such order
+            order = list(TopologicalSorter(above).static_order())
+        except CycleError:
+            raise InvalidInstance("cover relation contains a cycle") from None
+        succ, pred = up[:], down[:]
         for v in order:
-            seen += 1
-            m = up[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    order.append(w)
-        if seen != n:
-            raise InvalidInstance("cover relation contains a cycle")
-        for v in reversed(order):
-            m = up[v]
-            s = m
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                s |= succ[w]
-            succ[v] = s
-        pred = [0] * n
-        for v in range(n):
-            m = succ[v]
-            while m:
-                w = (m & -m).bit_length() - 1
-                m &= m - 1
-                pred[w] |= 1 << v
+            for w in above[v]:
+                succ[v] |= succ[w]
+        for v in reversed(order):  # pred[v] is whole before v passes it up
+            for w in above[v]:
+                pred[w] |= pred[v]
         self.succ_mask = tuple(succ)  # strict successors in the closure
         self.pred_mask = tuple(pred)  # strict predecessors in the closure
         self.cover_up = tuple(up)
@@ -173,9 +160,8 @@ def make_counterexample() -> Poset:
     d_1=33 with extra covers (x_0, y_8), (y_8, d_0), (y_15, d_1).
     """
     m = 16
-    base = [(i, m + j) for i in range(m) for j in range(m) if (i - j) % m in range(7)]
-    extra = [(0, m + 8), (m + 8, 32), (m + 15, 33)]
-    return Poset(34, base + extra)
+    base = make_circulant(m, range(7)).covers
+    return Poset(34, [*base, (0, m + 8), (m + 8, 32), (m + 15, 33)])
 
 
 def make_bucket_order(t: int, k: int) -> Poset:
@@ -282,6 +268,14 @@ def sorted_unique(cand):
     return cand[first]
 
 
+def by_popcount(masks):
+    """The distinct values of ``masks`` sorted by (popcount, value), the order
+    of ``family_layers`` (``masks`` is sorted in place)."""
+    masks = sorted_unique(masks)
+    # a stable popcount sort of the sorted values orders by (popcount, value)
+    return masks[np.argsort(np.bitwise_count(masks), kind="stable")]
+
+
 def family_layers(family, n: int):
     """The members of ``family`` reachable from the empty set, one popcount
     layer at a time, with the Hasse edges into each layer.
@@ -293,8 +287,8 @@ def family_layers(family, n: int):
     of the layer below, the AND of its members, so a member of k elements
     has k - |core| candidate parents, one per peeled bit outside the core,
     looked up in the layer below one peel row at a time, where the queries
-    are nearly sorted.  An edge's element is not stored: it is
-    bitwise_count((child ^ parent) - 1).
+    are nearly sorted.  An edge's child and element are not stored;
+    ``edge_ends`` decodes them.
     """
     ends = np.searchsorted(np.bitwise_count(family), np.arange(n + 2)).tolist()
     layer = family[: ends[1]]
@@ -304,6 +298,15 @@ def family_layers(family, n: int):
         cand = family[ends[k] : ends[k + 1]] if layer.size else family[:0]
         layer, src, starts = _edges_into(cand, k, layer)
         yield layer, src, starts
+
+
+def edge_ends(layer, src, starts, below):
+    """(child, elem) of each edge into ``layer`` from ``below``, as
+    ``family_layers`` yields them: the index in ``layer`` of the edge's
+    child, and the element that the child adds to its parent."""
+    child = starts.searchsorted(np.arange(src.size), side="right") - 1
+    elem = np.bitwise_count((layer[child] ^ below[src]) - np.uint64(1)).astype(np.intp)
+    return child, elem
 
 
 #: Candidate parents searched at once: about 3 MB of working arrays.  On
@@ -779,10 +782,8 @@ def _count_extensions_orbit(p: CirculantBipartitePoset, memory_budget: int) -> i
     sides, so F(S, t) depends only on the rotation class of S.
     """
     m = p.m
-    # y_j needs x_{(j+d) mod m}: the needs-mask of y_0, rotated per j.
-    need0 = sum(1 << d for d in p.offsets)
-    full = (1 << m) - 1
-    needs = [((need0 << j) | (need0 >> (m - j))) & full for j in range(m)]
+    # y_j (element m + j) needs x_{(j + d) mod m} for each d in D
+    needs = _neighbor_masks(range(m, 2 * m), range(m), p.cover_down)
     return _prefix_dp(m, needs, lambda masks: _canonical_rotation(masks, m), memory_budget, "orbit")
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import permutations
 from typing import Callable, Sequence
 
@@ -43,12 +44,6 @@ class Semiring:
     zero: object
     one: object
     idempotent: bool
-
-    def add_many(self, values):
-        acc = self.zero
-        for v in values:
-            acc = self.add(acc, v)
-        return acc
 
 
 MIN_PLUS = Semiring(
@@ -264,6 +259,5 @@ def evaluate_permutation(problem: PermutationProblem, sigma: Sequence[int]):
 def brute_force_optimum(problem: PermutationProblem):
     """Semiring sum of evaluate_permutation over all of S_n (reference oracle)."""
     sr = problem.semiring
-    return sr.add_many(
-        evaluate_permutation(problem, sigma) for sigma in permutations(range(problem.n))
-    )
+    values = (evaluate_permutation(problem, sigma) for sigma in permutations(range(problem.n)))
+    return reduce(sr.add, values, sr.zero)

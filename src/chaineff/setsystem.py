@@ -17,12 +17,13 @@ from .poset import (
     DEFAULT_MEMORY_BUDGET,
     MAX_ELEMENTS,
     Poset,
+    bits_of,
+    by_popcount,
     charge,
     count_layer_chains,
     enumerate_ideals,
     family_layers,
     read_records,
-    sorted_unique,
 )
 
 
@@ -37,9 +38,7 @@ class SetSystem:
     def __init__(self, n: int, members):
         if not 1 <= n <= MAX_ELEMENTS:
             raise InvalidSize(f"universe size must be in [1, {MAX_ELEMENTS}]")
-        masks = sorted_unique(_mask_array(n, members))
-        # a stable popcount sort of the sorted values orders by (popcount, value)
-        masks = masks[np.argsort(np.bitwise_count(masks), kind="stable")]
+        masks = by_popcount(_mask_array(n, members))
         masks.flags.writeable = False
         self.n = n
         self.masks = masks
@@ -130,11 +129,9 @@ def count_maximal_chains(a: SetSystem) -> int:
     return count_layer_chains(family_layers(a.masks, a.n))[1]
 
 
-def chain_efficiency(a: SetSystem, chains: int | None = None) -> EfficiencyReport:
+def chain_efficiency(a: SetSystem) -> EfficiencyReport:
     """Exact |A|, c(A), and 1/eta; eta = 0 is flagged via chains == 0."""
-    if chains is None:
-        chains = count_maximal_chains(a)
-    return make_report(a.n, len(a), chains, method="chain-dp")
+    return make_report(a.n, len(a), count_maximal_chains(a), method="chain-dp")
 
 
 def cartesian_power(
@@ -193,15 +190,7 @@ def chain_correspondence(a: SetSystem, pi: Sequence[int]) -> bool:
 def setsystem_to_text(a: SetSystem) -> str:
     lines = [f"{a.n} {len(a)}"]
     for mask in a.masks.tolist():
-        if mask == 0:
-            lines.append("-")
-        else:
-            elems = []
-            rest = mask
-            while rest:
-                elems.append((rest & -rest).bit_length() - 1)
-                rest &= rest - 1
-            lines.append(" ".join(map(str, elems)))
+        lines.append(" ".join(map(str, bits_of(mask))) if mask else "-")
     return "\n".join(lines) + "\n"
 
 

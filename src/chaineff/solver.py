@@ -229,7 +229,8 @@ def solve_gurevich_shelah(
 # Chain-tradeoff solver, and Held-Karp as its sweep over 2^[N]
 
 
-def _build_cover(system: SetSystem, strategy: str, seed: int) -> PermutationCover:
+def build_cover(system: SetSystem, strategy: str, seed: int) -> PermutationCover:
+    """The ``greedy`` or ``random`` (seeded) cover of ``system``."""
     if strategy == "greedy":
         return greedy_cover(system)
     if strategy == "random":
@@ -328,7 +329,7 @@ def solve_chain_tradeoff(
     groups = [system] * (s - 1) + [restriction(system, problem.n - (s - 1) * system.n)]
     charge(f"the product family of {s} groups", prod(map(len, groups)), memory_budget)
     t0 = time.monotonic()
-    covers = {a: _build_cover(a, strategy, seed) for a in dict.fromkeys(groups)}
+    covers = {a: build_cover(a, strategy, seed) for a in dict.fromkeys(groups)}
     family = product_family(groups)
     return _solve(problem, memory_budget, family, [covers[a] for a in groups], t0)
 

@@ -23,7 +23,7 @@ from chaineff.cover import (
     randomized_cover,
     verify_cover,
 )
-from chaineff.errors import DimensionMismatch, InvalidPermutation
+from chaineff.errors import DimensionMismatch, InvalidPermutation, ResourceLimit
 from chaineff.poset import Poset, make_matching_complement
 from chaineff.setsystem import (
     SetSystem,
@@ -393,6 +393,12 @@ class TestEightElements:
         assert run(["cover", "--builtin", "tower:3:3"]) == 3
         assert run(["cover", "--builtin", "tower:3:3", "--strategy", "random"]) == 3
         assert capsys.readouterr().out == ""
+
+    def test_nine_element_verification_is_refused(self):
+        a = tower_of_cubes(3, 3)
+        cover = PermutationCover(9, (tuple(range(9)),), False)
+        with pytest.raises(ResourceLimit, match="capped at n = 8"):
+            verify_cover(a, cover)
 
     def test_uncertified_cover_in_solve_exit_3(self, tmp_path):
         # 10 cities are 9 elements, one whole group of tower:3:3, whose cover

@@ -313,10 +313,35 @@ def posets(draw, max_n):
     return Poset(n, [(label[i], label[j]) for i, j in chosen])
 
 
+def warshall_closure(p):
+    """Independent oracle: (pred, succ) masks of the strict closure of
+    ``p.covers`` by Warshall's algorithm over a boolean matrix."""
+    reach = [[False] * p.n for _ in range(p.n)]
+    for u, v in p.covers:
+        reach[u][v] = True
+    for w in range(p.n):
+        for u in range(p.n):
+            if reach[u][w]:
+                for v in range(p.n):
+                    reach[u][v] = reach[u][v] or reach[w][v]
+    succ = tuple(sum(1 << v for v in range(p.n) if reach[u][v]) for u in range(p.n))
+    pred = tuple(sum(1 << u for u in range(p.n) if reach[u][v]) for v in range(p.n))
+    return pred, succ
+
+
 class TestConstruction:
-    def test_rejects_cycle(self):
-        with pytest.raises(InvalidInstance):
-            Poset(3, [(0, 1), (1, 2), (2, 0)])
+    @pytest.mark.parametrize("length", range(2, 7))
+    def test_rejects_cycle(self, length):
+        # the cycle sits on the odd elements, entered by a cover from 0
+        ring = [2 * i + 1 for i in range(length)]
+        covers = [(ring[i], ring[(i + 1) % length]) for i in range(length)]
+        with pytest.raises(InvalidInstance, match="cover relation contains a cycle"):
+            Poset(2 * length, covers + [(0, ring[0])])
+
+    @given(posets(max_n=12))
+    @settings(max_examples=80, deadline=None)
+    def test_closure_matches_warshall(self, p):
+        assert (p.pred_mask, p.succ_mask) == warshall_closure(p)
 
     def test_chain_counts(self):
         p = make_chain(6)
