@@ -29,8 +29,9 @@ from .errors import ResourceLimit
 from .poset import _EDGE_BYTES, by_popcount, charge, edge_ends, family_layers, fan_out
 from .semiring import ARRAY_INF, INF, MIN_PLUS, ArrayCosts, PermutationProblem
 
-# entries of one (tuples, transitions) scratch array; bounds the batch size,
-# and with it the memory a sweep adds to the process (about 3 such arrays)
+# entries of one (tuples, transitions) scratch array; bounds the sweep's
+# batch size, and with it the memory a sweep adds to the process (about 3
+# such arrays).  gs sizes its chunks by ``poset._BLOCK_ENTRIES`` instead.
 SCRATCH_ENTRIES = 1 << 15
 
 

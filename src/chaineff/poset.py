@@ -413,6 +413,8 @@ def enumerate_ideals(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):
 #: 55-65 ms at 2^21.  Each kernel peaks at about two blocks.  The F(S, t)
 #: kernel gathers one block of limbs at a time; on circulant:22:0,1,2,4,9
 #: orbit took 272-290 ms from 2^15 to 2^19 and 294-304 ms at 2^20-2^21.
+#: gs (``solver``) also sizes its chunks of splits by it: at N = 10-12 a
+#: solve took 55-65% of its time under a 2^15 cap (in process, same VM).
 _BLOCK_ENTRIES = 1 << 19
 
 
@@ -680,8 +682,8 @@ def _prefix_dp(nx: int, needs, canon, memory_budget: int, name: str) -> int:
     are counted and charged ``_EDGE_BYTES`` apiece, beside h, before they
     are built.  Then the classes of two layers are charged against the
     budget, and against physical memory the limbs that summing the layer
-    holds: h, its copy cut to the layer's width, the new layer's H, one
-    gather block with its sums, and the edges' parent indices.
+    holds: h, the new layer's H, one gather block with its sums, and the
+    edges' parent indices.
     """
     ny = len(needs)
     needs = np.array(needs, dtype=np.uint64)
@@ -704,7 +706,7 @@ def _prefix_dp(nx: int, needs, canon, memory_budget: int, name: str) -> int:
         width = int(e.max()) + 1  # no superset has a smaller e, so h is as wide
         rows = _limbs_for(nx * factorial(nx + ny - k))
         gather = min(_BLOCK_ENTRIES, h.shape[0] * width * src.size)
-        limbs = 2 * h.size + rows * width * new.size + 2 * gather + src.size
+        limbs = h.size + rows * width * new.size + 2 * gather + src.size
         charge(f"{name} layer", new.size + masks.size, memory_budget, 8 * limbs)
         g = _edge_sums(h[:, :width], src, starts, rows)
         _carry(g[:, -1])
@@ -723,17 +725,15 @@ def _limbs_for(bound: int) -> int:
 def _edge_sums(h, src, starts, rows):
     """(rows, width, children): the sums of the parent columns ``src`` of
     ``h`` over the runs of edges opening at ``starts``, one ``reduceat`` per
-    block of children whose edges hold at most ``_BLOCK_ENTRIES`` limbs;
-    the ``rows`` past h's limbs are zero."""
+    limb and block of children whose edges hold at most ``_BLOCK_ENTRIES``
+    limbs; the ``rows`` past h's limbs are zero."""
     limbs, width, _ = h.shape
-    flat = np.ascontiguousarray(h).reshape(limbs * width, -1)  # take would copy per block
     out = np.zeros((rows, width, starts.size), dtype=np.uint64)
     bounds = np.append(starts, src.size)
     for lo, hi in _edge_blocks(bounds, max(1, _BLOCK_ENTRIES // (limbs * width))):
-        gather = flat.take(src[bounds[lo] : bounds[hi]], axis=1)
-        sums = np.add.reduceat(gather, starts[lo:hi] - bounds[lo], axis=1)
-        del gather  # freed before the next block's is taken
-        out[:limbs, :, lo:hi] = sums.reshape(limbs, width, hi - lo)
+        edges, runs = src[bounds[lo] : bounds[hi]], starts[lo:hi] - bounds[lo]
+        for l in range(limbs):  # h[l] is contiguous where h, cut to a width, is not
+            np.add.reduceat(h[l].take(edges, axis=1), runs, axis=1, out=out[l, :, lo:hi])
     return out
 
 

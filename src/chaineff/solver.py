@@ -20,10 +20,10 @@ from math import ceil, comb, factorial, prod
 
 import numpy as np
 
-from .arraydp import SCRATCH_ENTRIES, ArrayDP
+from .arraydp import ArrayDP
 from .cover import PermutationCover, greedy_cover, randomized_cover
 from .errors import InvalidInstance, InvalidSetSystem, UnsupportedSemiring
-from .poset import DEFAULT_MEMORY_BUDGET, charge
+from .poset import _BLOCK_ENTRIES, DEFAULT_MEMORY_BUDGET, charge
 from .semiring import (
     ARRAY_INF,
     INF,
@@ -130,32 +130,37 @@ def _finite(tables: np.ndarray, inf) -> np.ndarray:
 
 
 def _path_tables(sets: np.ndarray, w: np.ndarray, inf, stats: SolveStats):
-    """Tables of a batch of sorted city sets (B, k): (B, k, k) tables, (B,) peaks, held.
+    """Tables of a batch of sorted city sets (B, k): (B, k, k) tables, (B,) finite
+    entries of each table, (B,) peaks, held.
 
     Tables hold ``inf`` where no path exists.  The node's splits run at
-    once when its whole subtree fits SCRATCH_ENTRIES, else in chunks of as
-    many as fit, at least one.  ``held`` bounds the entries the arrays of
-    this call and its subtree hold at once, counting a pass's arrays as
-    all live together; the updates of the sequential recursion, |T_L| *
-    |T_R| finite pairs per split and k! (k - 1) steps per leaf, are added
-    to ``stats``.
+    once when its whole subtree fits the kernels' block, ``_BLOCK_ENTRIES``,
+    else in chunks of as many as fit, at least one.  Weights are gathered
+    from the flat ``w`` by index u * n + v, which serves the int64 and the
+    object arrays alike.  ``held`` bounds the entries the arrays of this
+    call and its subtree hold at once, counting a pass's arrays as all live
+    together; the updates of the sequential recursion, |T_L| * |T_R| finite
+    pairs per split and k! (k - 1) steps per leaf, are added to ``stats``.
     """
     rows, k = sets.shape
+    n = len(w)
+    flat = w.reshape(-1)
     if k <= 3:
         perms = _leaf_plan(k)
         cities = sets[:, perms]
         cost = np.zeros((rows, len(perms)), dtype=w.dtype)
         for j in range(k - 1):
-            cost += w[cities[:, :, j], cities[:, :, j + 1]]
+            cost += flat.take(cities[:, :, j] * n + cities[:, :, j + 1])
         table = np.full((rows, k, k), inf, dtype=w.dtype)
         table[:, perms[:, 0], perms[:, -1]] = np.minimum(cost, inf)
         stats.total_dp_updates += rows * len(perms) * (k - 1)
-        return table, _finite(table, inf), rows * _footprint(k)[0]
+        size = _finite(table, inf)
+        return table, size, size, rows * _footprint(k)[0]
     left, right = _split_plan(k)
     h, r = left.shape[1], right.shape[1]
     _, own = _footprint(k)
     per_split = own + _footprint(h)[0] + _footprint(r)[0]
-    chunk = min(len(left), max(1, (SCRATCH_ENTRIES - 2 * rows * k * k) // (rows * per_split)))
+    chunk = min(len(left), max(1, (_BLOCK_ENTRIES - 2 * rows * k * k) // (rows * per_split)))
     table = np.full((rows, k, k), inf, dtype=w.dtype)
     peak = np.zeros(rows, dtype=np.int64)
     held = 0
@@ -163,12 +168,12 @@ def _path_tables(sets: np.ndarray, w: np.ndarray, inf, stats: SolveStats):
         lp, rp = left[lo : lo + chunk], right[lo : lo + chunk]
         c = len(lp)
         ls, rs = sets[:, lp].reshape(-1, h), sets[:, rp].reshape(-1, r)
-        t_left, p_left, held_left = _path_tables(ls, w, inf, stats)
-        t_right, p_right, held_right = _path_tables(rs, w, inf, stats)
-        n_left, n_right = _finite(t_left, inf), _finite(t_right, inf)
+        t_left, n_left, p_left, held_left = _path_tables(ls, w, inf, stats)
+        t_right, n_right, p_right, held_right = _path_tables(rs, w, inf, stats)
         stats.total_dp_updates += int(n_left @ n_right)
         # via[s, v] = min_u T_L[s, u] + w[u, v]; block[s, t] = min_v via[s, v] + T_R[v, t]
-        via = (t_left[:, :, :, None] + w[ls[:, None, :, None], rs[:, None, None, :]]).min(axis=2)
+        wuv = flat.take(ls[:, None, :, None] * n + rs[:, None, None, :])
+        via = (t_left[:, :, :, None] + wuv).min(axis=2)
         block = (via[:, :, :, None] + t_right[:, None, :, :]).min(axis=2)
         # slot 0 carries the table so far, which starts at inf, so the
         # minimum along the splits also keeps every entry at most inf
@@ -187,7 +192,7 @@ def _path_tables(sets: np.ndarray, w: np.ndarray, inf, stats: SolveStats):
         np.maximum(peak, steps.max(axis=1), out=peak)
         table = acc[:, -1].copy()
         held = max(held, rows * (2 * k * k + c * own) + held_left + held_right)
-    return table, peak, held
+    return table, after[:, -1], peak, held
 
 
 def solve_gurevich_shelah(
@@ -216,7 +221,7 @@ def solve_gurevich_shelah(
     inf = ARRAY_INF
     if w is None:
         w, inf = np.array(inst.weights, dtype=object), INF
-    table, peak, held = _path_tables(np.arange(n)[None], w, inf, stats)
+    table, _, peak, held = _path_tables(np.arange(n)[None], w, inf, stats)
     stats.peak_resident_entries = stats.sweep_peak_entries = int(peak[0])
     stats.batch_resident_entries = held
     charge("gs recursion", stats.peak_resident_entries, memory_budget)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from chaineff.cover import greedy_cover, randomized_cover
 from chaineff.errors import InvalidInstance, ResourceLimit, UnsupportedSemiring
-from chaineff.poset import DEFAULT_MEMORY_BUDGET, Poset, make_matching_complement
+from chaineff.poset import _BLOCK_ENTRIES, DEFAULT_MEMORY_BUDGET, Poset, make_matching_complement
 from chaineff.semiring import (
     BOOLEAN,
     INF,
@@ -33,7 +33,7 @@ from chaineff.semiring import (
 )
 import numpy as np
 
-from chaineff.arraydp import SCRATCH_ENTRIES, ArrayDP, _relabel, build_plan
+from chaineff.arraydp import ArrayDP, _relabel, build_plan
 from chaineff.setsystem import (
     cartesian_power,
     from_poset_ideals,
@@ -212,6 +212,20 @@ class TestGurevichShelah:
             assert type(res.value) is int or res.value == INF
             assert stats.sweep_peak_entries == stats.peak_resident_entries
 
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_chunks_match_dict_recursion(self, monkeypatch, n):
+        # a cap of 1 runs every node's splits one per chunk; 2^62 runs the whole tree at once
+        rng = random.Random(950 + n)
+        w = [list(row) for row in zero_inf_tsp(rng, n).weights]
+        row = rng.randrange(n)
+        w[row] = [0 if j == row else INF for j in range(n)]
+        inst = TspInstance.from_matrix(w)
+        want = dict_gurevich_shelah(inst)
+        for cap in (1, 1 << 62):
+            monkeypatch.setattr("chaineff.solver._BLOCK_ENTRIES", cap)
+            stats = (res := solve_gurevich_shelah(inst)).stats
+            assert (res.value, stats.total_dp_updates, stats.peak_resident_entries) == want
+
     def test_large_weights_are_exact(self):
         rng = random.Random(41)
         big = 1 << 60
@@ -221,6 +235,19 @@ class TestGurevichShelah:
         res = solve_gurevich_shelah(inst)
         assert res.value == brute_force_optimum(tsp_as_permutation_problem(inst))
         assert res.value >= big and type(res.value) is int
+        assert (res.value, res.stats.total_dp_updates, res.stats.peak_resident_entries) == (
+            dict_gurevich_shelah(inst)
+        )
+
+    def test_large_weights_are_exact_across_chunks(self):
+        # 10 cities run the object-weight kernel in chunks; every tour passes 2^63
+        rng = random.Random(43)
+        big, n = 1 << 60, 10
+        w = [[0 if i == j else rng.choice([big + rng.randint(0, 9)] * 5 + [INF]) for j in range(n)]
+             for i in range(n)]
+        inst = TspInstance.from_matrix(w)
+        res = solve_gurevich_shelah(inst)
+        assert res.value > 1 << 63 and type(res.value) is int
         assert (res.value, res.stats.total_dp_updates, res.stats.peak_resident_entries) == (
             dict_gurevich_shelah(inst)
         )
@@ -235,12 +262,13 @@ class TestGurevichShelah:
             solve_gurevich_shelah(inst, memory_budget=peak - 1)
 
     def test_batch_is_reported_apart(self):
-        # up to 7 cities the whole tree runs at once; at 11 the root's splits run in chunks
-        for n in (6, 7):
+        # up to 9 cities the whole tree runs at once; at 10 and 11 the root's splits run in chunks
+        for n in range(4, 10):
             stats = solve_gurevich_shelah(random_tsp(random.Random(n), n)).stats
-            assert stats.batch_resident_entries == _footprint(n)[0] <= SCRATCH_ENTRIES
-        stats = solve_gurevich_shelah(random_tsp(random.Random(11), 11)).stats
-        assert stats.batch_resident_entries <= SCRATCH_ENTRIES < _footprint(11)[0]
+            assert stats.batch_resident_entries == _footprint(n)[0] <= _BLOCK_ENTRIES
+        for n in (10, 11):
+            stats = solve_gurevich_shelah(random_tsp(random.Random(n), n)).stats
+            assert stats.batch_resident_entries <= _BLOCK_ENTRIES < _footprint(n)[0]
 
 
 class TestChainTradeoff:
