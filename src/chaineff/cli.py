@@ -18,7 +18,7 @@ from math import comb, factorial
 import mpmath
 
 from . import bounds as bounds_mod
-from .cover import SplitMix64, cover_size_bound
+from .cover import _MASK64, SplitMix64, cover_size_bound
 from .cover import greedy_cover, randomized_cover  # noqa: F401 (bench/spans.py wraps them here)
 from .errors import ChainEffError, ResourceLimit
 from .poset import (
@@ -385,6 +385,18 @@ _VERIFIERS = {
 # argument parsing
 
 
+def _seed(text: str) -> int:
+    """A ``--seed``: the SplitMix64 state, an integer in 0..2^64 - 1, so that
+    the provenance prints the seed the draws come from."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if not 0 <= seed <= _MASK64:
+        raise argparse.ArgumentTypeError(f"must be an integer in 0..2^64 - 1, not {text!r}")
+    return seed
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error in one line; subparsers are built from this class."""
 
@@ -430,7 +442,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cover.add_argument("--setsystem")
     p_cover.add_argument("--builtin")
     p_cover.add_argument("--strategy", choices=["greedy", "random"], default="greedy")
-    p_cover.add_argument("--seed", type=int, default=0)
+    p_cover.add_argument("--seed", type=_seed, default=0)
     p_cover.set_defaults(func=_cmd_cover)
 
     p_solve = sub.add_parser("solve")
@@ -448,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--builtin")
         sp.add_argument("--g", type=int, default=1)
         sp.add_argument("--strategy", choices=["greedy", "random"], default="greedy")
-        sp.add_argument("--seed", type=int, default=0)
+        sp.add_argument("--seed", type=_seed, default=0)
 
     p_bounds = sub.add_parser("bounds")
     bounds_sub = p_bounds.add_subparsers(dest="bound", required=True)

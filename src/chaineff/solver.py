@@ -81,7 +81,14 @@ class SolveResult:
 #
 # The kernel runs a batch of nodes of one size along axis 0 and a node's
 # splits along axis 1, so that a node's whole subtree is a few numpy
-# passes.  Its space figure is that of the sequential recursion instead,
+# passes.  A split's minimum is two min-plus products, T_L by w[L, R] and
+# that by T_R, each a running minimum over its inner index, so with
+# h = ceil(k / 2) and r = k - h no array of the two is larger than
+# (h, r).  The (h, r) block goes to the split's slot of a (nodes,
+# splits + 1, k, k) running minimum along the splits, whose last slot is
+# the node's table.
+#
+# The kernel's space figure is that of the sequential recursion instead,
 # which keeps only finite entries and runs a split's halves one after the
 # other.  With c_i the finite entries of a node's table after its first i
 # splits, that recursion holds, relative to the node's start, c_{i-1} plus
@@ -111,15 +118,18 @@ def _footprint(k: int) -> tuple[int, int]:
 
     A leaf holds its orderings' cities, their costs, one gathered step and
     its table.  A node holds its table and the carried minimum; a split
-    adds its slot of the running minimum, its halves' cities and the
-    weights between them, the two-stage minimum's sums and results, and
-    its halves' subtrees.  ``whole`` runs every split at once.
+    adds its halves' cities, its slot of the running minimum along the
+    splits and as many entries again for counting that slot's finite
+    entries (numpy sums the bool mask through an int64 buffer), three
+    (h, r) arrays, which are a min-plus product's input, running minimum
+    and term, and its halves' subtrees.  ``whole`` runs every split at
+    once.
     """
     if k <= 3:
         return factorial(k) * (k + 2) + k * k, 0
     h = ceil(k / 2)
     r = k - h
-    own = k + k * k + h * r * (3 + h + r)
+    own = k + 2 * k * k + 3 * h * r
     return 2 * k * k + comb(k, h) * (own + _footprint(h)[0] + _footprint(r)[0]), own
 
 
@@ -129,18 +139,35 @@ def _finite(tables: np.ndarray, inf) -> np.ndarray:
     return finite.reshape(*finite.shape[:-2], -1).sum(axis=-1)
 
 
+def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """out[..., s, t] = min_u a[..., s, u] + b[..., u, t], a running minimum over u.
+
+    Besides its inputs it holds out and one term, both of out's shape; the
+    int64 and the object arrays run the same ufuncs.
+    """
+    out = a[..., :, :1] + b[..., :1, :]
+    term = np.empty_like(out)
+    for u in range(1, a.shape[-1]):
+        np.add(a[..., :, u : u + 1], b[..., u : u + 1, :], out=term)
+        np.minimum(out, term, out=out)
+    return out
+
+
 def _path_tables(sets: np.ndarray, w: np.ndarray, inf, stats: SolveStats):
     """Tables of a batch of sorted city sets (B, k): (B, k, k) tables, (B,) finite
     entries of each table, (B,) peaks, held.
 
-    Tables hold ``inf`` where no path exists.  The node's splits run at
-    once when its whole subtree fits the kernels' block, ``_BLOCK_ENTRIES``,
-    else in chunks of as many as fit, at least one.  Weights are gathered
-    from the flat ``w`` by index u * n + v, which serves the int64 and the
-    object arrays alike.  ``held`` bounds the entries the arrays of this
-    call and its subtree hold at once, counting a pass's arrays as all live
-    together; the updates of the sequential recursion, |T_L| * |T_R| finite
-    pairs per split and k! (k - 1) steps per leaf, are added to ``stats``.
+    Tables hold ``inf`` where no path exists.  A split's block is
+    ``_min_plus(_min_plus(T_L, w[L, R]), T_R)``, whose sums keep the order
+    (T_L + w) + T_R, so int64 entries stay at most 3 * ARRAY_INF < 2^63.
+    The node's splits run at once when its whole subtree fits the kernels'
+    block, ``_BLOCK_ENTRIES``, else in chunks of as many as fit, at least
+    one.  Weights are gathered from the flat ``w`` by index u * n + v,
+    which serves the int64 and the object arrays alike.  ``held`` bounds
+    the entries the arrays of this call and its subtree hold at once,
+    counting a pass's arrays as all live together; the updates of the
+    sequential recursion, |T_L| * |T_R| finite pairs per split and
+    k! (k - 1) steps per leaf, are added to ``stats``.
     """
     rows, k = sets.shape
     n = len(w)
@@ -172,9 +199,9 @@ def _path_tables(sets: np.ndarray, w: np.ndarray, inf, stats: SolveStats):
         t_right, n_right, p_right, held_right = _path_tables(rs, w, inf, stats)
         stats.total_dp_updates += int(n_left @ n_right)
         # via[s, v] = min_u T_L[s, u] + w[u, v]; block[s, t] = min_v via[s, v] + T_R[v, t]
-        wuv = flat.take(ls[:, None, :, None] * n + rs[:, None, None, :])
-        via = (t_left[:, :, :, None] + wuv).min(axis=2)
-        block = (via[:, :, :, None] + t_right[:, None, :, :]).min(axis=2)
+        via = _min_plus(t_left, flat.take(ls[:, :, None] * n + rs[:, None, :]))
+        block = _min_plus(via, t_right)
+        del via  # not held beside the accumulator
         # slot 0 carries the table so far, which starts at inf, so the
         # minimum along the splits also keeps every entry at most inf
         acc = np.full((rows, c + 1, k, k), inf, dtype=w.dtype)

@@ -143,6 +143,16 @@ class TestEfficiencyAndChains:
         assert_one_line_error(capsys)
 
 
+def _seeded(tmp_path, command):
+    """A random-cover call of ``command`` ("cover" or "solve"), without its seed."""
+    cover = ["--builtin", "tower:2:2", "--strategy", "random"]
+    if command == "cover":
+        return ["cover", *cover]
+    f = tmp_path / "four.txt"
+    f.write_text(FOUR_CITY_TEXT)
+    return ["solve", "tsp", "--matrix", str(f), "--algo", "tradeoff", *cover]
+
+
 class TestCover:
     def test_greedy_deterministic(self, capsys):
         argv = ["cover", "--builtin", "tower:2:2"]
@@ -156,6 +166,19 @@ class TestCover:
         _, doc2 = run_json(capsys, argv)
         assert doc1 == doc2
         assert doc1["provenance"]["seed"] == 3
+
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616", "-18446744073709551611"])
+    @pytest.mark.parametrize("command", ["cover", "solve"])
+    def test_seed_out_of_range_exit_2(self, capsys, tmp_path, command, seed):
+        # a seed folded mod 2^64 would print one seed and draw from another
+        assert run([*_seeded(tmp_path, command), "--seed", seed]) == 2
+        assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    @pytest.mark.parametrize("command", ["cover", "solve"])
+    def test_seed_bounds_are_accepted(self, capsys, tmp_path, command, seed):
+        code, doc = run_json(capsys, [*_seeded(tmp_path, command), "--seed", str(seed)])
+        assert code == 0 and doc["provenance"]["seed"] == seed
 
     @pytest.mark.parametrize("factor", ["nan", "inf", "1e300", "2"])
     def test_factor_is_not_an_option_exit_2(self, capsys, factor):

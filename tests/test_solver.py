@@ -19,6 +19,7 @@ from chaineff.cover import greedy_cover, randomized_cover
 from chaineff.errors import InvalidInstance, ResourceLimit, UnsupportedSemiring
 from chaineff.poset import _BLOCK_ENTRIES, DEFAULT_MEMORY_BUDGET, Poset, make_matching_complement
 from chaineff.semiring import (
+    ARRAY_INF,
     BOOLEAN,
     INF,
     MIN_PLUS,
@@ -45,6 +46,7 @@ from chaineff.setsystem import (
 from chaineff.solver import (
     SolveStats,
     _footprint,
+    _min_plus,
     solve_chain_tradeoff,
     solve_gurevich_shelah,
     solve_held_karp,
@@ -163,6 +165,50 @@ def dict_gurevich_shelah(inst):
     return best, stats.total_dp_updates, acct.peak
 
 
+def min_plus_oracle(a, b):
+    """min over u of a[i, s, u] + b[i, u, t], by a triple loop over Python values."""
+    (batch, h, m), r = a.shape, b.shape[-1]
+    return [
+        [[min(a[i, s, u] + b[i, u, t] for u in range(m)) for t in range(r)] for s in range(h)]
+        for i in range(batch)
+    ]
+
+
+# (batch, h, m, r): a is (batch, h, m) and b (batch, m, r), with h != r as in
+# the kernel's two stages, T_L by the weights and the result by T_R
+MIN_PLUS_SHAPES = [(1, 3, 3, 2), (1, 2, 2, 3), (5, 4, 4, 3), (5, 4, 3, 3), (3, 2, 1, 3)]
+
+
+class TestMinPlus:
+    @pytest.mark.parametrize("shape", MIN_PLUS_SHAPES)
+    def test_int64_with_inf(self, shape):
+        # a holds up to 2 ARRAY_INF (a first stage's result) and b up to ARRAY_INF,
+        # so sums reach 3 * 2^61; batch row 0 holds nothing else and reaches it
+        batch, h, m, r = shape
+        rng = np.random.default_rng(sum(shape))
+        a = rng.choice([0, 1, 7, ARRAY_INF - 1, ARRAY_INF, 2 * ARRAY_INF], (batch, h, m))
+        b = rng.choice([0, 3, 9, ARRAY_INF], (batch, m, r))
+        a[0], b[0] = 2 * ARRAY_INF, ARRAY_INF
+        got = _min_plus(a, b)
+        assert got.dtype == np.int64 and got.shape == (batch, h, r)
+        want = min_plus_oracle(a.astype(object), b.astype(object))
+        assert got.tolist() == want
+        assert want[0][0][0] == 3 * ARRAY_INF
+
+    @pytest.mark.parametrize("shape", MIN_PLUS_SHAPES)
+    def test_object_ints_past_int64(self, shape):
+        batch, h, m, r = shape
+        rng = random.Random(sum(shape))
+        big = [(1 << 62) + 5, (1 << 63) + 1, (1 << 70) + 3, 1, INF]
+        a = np.array([rng.choice(big) for _ in range(batch * h * m)], dtype=object)
+        b = np.array([rng.choice(big) for _ in range(batch * m * r)], dtype=object)
+        a, b = a.reshape(batch, h, m), b.reshape(batch, m, r)
+        got = _min_plus(a, b)
+        assert got.dtype == object and got.shape == (batch, h, r)
+        assert got.tolist() == min_plus_oracle(a, b)
+        assert all(type(x) is int or x == INF for x in got.flat)
+
+
 class TestGurevichShelah:
     def test_four_city(self):
         assert solve_gurevich_shelah(TspInstance.from_matrix(FOUR_CITY)).value == 14
@@ -260,6 +306,20 @@ class TestGurevichShelah:
         assert res.value == dict_gurevich_shelah(inst)[0]
         with pytest.raises(ResourceLimit):
             solve_gurevich_shelah(inst, memory_budget=peak - 1)
+
+    def test_kernel_holds_no_more_than_it_reports(self):
+        # after a warm-up fills the plan caches, the solve's own allocations
+        # fit 8 bytes per entry of batch_resident_entries
+        for n in (6, 8, 10, 11, 12):
+            inst = random_tsp(random.Random(n), n)
+            solve_gurevich_shelah(inst)
+            tracemalloc.start()
+            try:
+                stats = solve_gurevich_shelah(inst).stats
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * stats.batch_resident_entries, n
 
     def test_batch_is_reported_apart(self):
         # up to 9 cities the whole tree runs at once; at 10 and 11 the root's splits run in chunks
