@@ -79,14 +79,14 @@ class SolveResult:
 # offers min over u, v of T_L[s, u] + w[u, v] + T_R[v, t] for s in L and
 # t in R, and the node's table is the minimum over its splits.
 #
-# The kernel runs a batch of nodes of one size along axis 0 and a node's
-# splits along axis 1, so that a node's whole subtree is a few numpy
-# passes.  A split's minimum is two min-plus products, T_L by w[L, R] and
-# that by T_R, each a running minimum over its inner index, so with
-# h = ceil(k / 2) and r = k - h no array of the two is larger than
-# (h, r).  The (h, r) block goes to the split's slot of a (nodes,
-# splits + 1, k, k) running minimum along the splits, whose last slot is
-# the node's table.
+# The kernel runs a batch of nodes of one size along the last axis and a
+# node's splits along the first, so that a node's whole subtree is a few
+# numpy passes, each over the batch in contiguous memory.  A split's
+# minimum is two min-plus products, T_L by w[L, R] and that by T_R, each
+# a running minimum over its inner index, so with h = ceil(k / 2) and
+# r = k - h no array of the two is larger than (h, r).  The (h, r) block
+# goes to the split's slot of a (splits + 1, k, k, nodes) running minimum
+# from slot to slot, whose last slot is the node's table.
 #
 # The kernel's space figure is that of the sequential recursion instead,
 # which keeps only finite entries and runs a split's halves one after the
@@ -134,52 +134,52 @@ def _footprint(k: int) -> tuple[int, int]:
 
 
 def _finite(tables: np.ndarray, inf) -> np.ndarray:
-    """Finite entries of each table on the last two axes."""
-    finite = tables < inf
-    return finite.reshape(*finite.shape[:-2], -1).sum(axis=-1)
+    """Finite entries of each table, on the two axes before the batch axis."""
+    return (tables < inf).sum(axis=(-3, -2))
 
 
 def _min_plus(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[..., s, t] = min_u a[..., s, u] + b[..., u, t], a running minimum over u.
+    """out[s, t, ...] = min_u a[s, u, ...] + b[u, t, ...], a running minimum over u.
 
     Besides its inputs it holds out and one term, both of out's shape; the
     int64 and the object arrays run the same ufuncs.
     """
-    out = a[..., :, :1] + b[..., :1, :]
+    out = a[:, :1] + b[:1]
     term = np.empty_like(out)
-    for u in range(1, a.shape[-1]):
-        np.add(a[..., :, u : u + 1], b[..., u : u + 1, :], out=term)
+    for u in range(1, len(b)):
+        np.add(a[:, u : u + 1], b[u : u + 1], out=term)
         np.minimum(out, term, out=out)
     return out
 
 
 def _path_tables(sets: np.ndarray, w: np.ndarray, inf, stats: SolveStats):
-    """Tables of a batch of sorted city sets (B, k): (B, k, k) tables, (B,) finite
-    entries of each table, (B,) peaks, held.
+    """Tables of a batch of sorted city sets, one a column of (k, B): (k, k, B)
+    tables, (B,) finite entries of each table, (B,) peaks, held.
 
     Tables hold ``inf`` where no path exists.  A split's block is
     ``_min_plus(_min_plus(T_L, w[L, R]), T_R)``, whose sums keep the order
     (T_L + w) + T_R, so int64 entries stay at most 3 * ARRAY_INF < 2^63.
-    The node's splits run at once when its whole subtree fits the kernels'
-    block, ``_BLOCK_ENTRIES``, else in chunks of as many as fit, at least
-    one.  Weights are gathered from the flat ``w`` by index u * n + v,
-    which serves the int64 and the object arrays alike.  ``held`` bounds
-    the entries the arrays of this call and its subtree hold at once,
-    counting a pass's arrays as all live together; the updates of the
-    sequential recursion, |T_L| * |T_R| finite pairs per split and
-    k! (k - 1) steps per leaf, are added to ``stats``.
+    The batch runs along the last axis, so every pass over a batch is a
+    contiguous one.  The node's splits run at once when its whole subtree
+    fits the kernels' block, ``_BLOCK_ENTRIES``, else in chunks of as many
+    as fit, at least one.  Weights are gathered from the flat ``w`` by
+    index u * n + v, which serves the int64 and the object arrays alike.
+    ``held`` bounds the entries the arrays of this call and its subtree
+    hold at once, counting a pass's arrays as all live together; the
+    updates of the sequential recursion, |T_L| * |T_R| finite pairs per
+    split and k! (k - 1) steps per leaf, are added to ``stats``.
     """
-    rows, k = sets.shape
+    k, rows = sets.shape
     n = len(w)
     flat = w.reshape(-1)
     if k <= 3:
         perms = _leaf_plan(k)
-        cities = sets[:, perms]
-        cost = np.zeros((rows, len(perms)), dtype=w.dtype)
+        cities = sets[perms.T]
+        cost = np.zeros((len(perms), rows), dtype=w.dtype)
         for j in range(k - 1):
-            cost += flat.take(cities[:, :, j] * n + cities[:, :, j + 1])
-        table = np.full((rows, k, k), inf, dtype=w.dtype)
-        table[:, perms[:, 0], perms[:, -1]] = np.minimum(cost, inf)
+            cost += flat.take(cities[j] * n + cities[j + 1])
+        table = np.full((k, k, rows), inf, dtype=w.dtype)
+        table[perms[:, 0], perms[:, -1]] = np.minimum(cost, inf)
         stats.total_dp_updates += rows * len(perms) * (k - 1)
         size = _finite(table, inf)
         return table, size, size, rows * _footprint(k)[0]
@@ -188,38 +188,42 @@ def _path_tables(sets: np.ndarray, w: np.ndarray, inf, stats: SolveStats):
     _, own = _footprint(k)
     per_split = own + _footprint(h)[0] + _footprint(r)[0]
     chunk = min(len(left), max(1, (_BLOCK_ENTRIES - 2 * rows * k * k) // (rows * per_split)))
-    table = np.full((rows, k, k), inf, dtype=w.dtype)
+    table = np.full((k, k, rows), inf, dtype=w.dtype)
     peak = np.zeros(rows, dtype=np.int64)
     held = 0
     for lo in range(0, len(left), chunk):
-        lp, rp = left[lo : lo + chunk], right[lo : lo + chunk]
-        c = len(lp)
-        ls, rs = sets[:, lp].reshape(-1, h), sets[:, rp].reshape(-1, r)
+        lp, rp = left[lo : lo + chunk].T, right[lo : lo + chunk].T
+        c = lp.shape[1]
+        # a child's column is split * rows + row
+        ls, rs = sets[lp].reshape(h, -1), sets[rp].reshape(r, -1)
         t_left, n_left, p_left, held_left = _path_tables(ls, w, inf, stats)
         t_right, n_right, p_right, held_right = _path_tables(rs, w, inf, stats)
         stats.total_dp_updates += int(n_left @ n_right)
         # via[s, v] = min_u T_L[s, u] + w[u, v]; block[s, t] = min_v via[s, v] + T_R[v, t]
-        via = _min_plus(t_left, flat.take(ls[:, :, None] * n + rs[:, None, :]))
+        via = _min_plus(t_left, flat.take(ls[:, None] * n + rs[None]))
         block = _min_plus(via, t_right)
         del via  # not held beside the accumulator
         # slot 0 carries the table so far, which starts at inf, so the
         # minimum along the splits also keeps every entry at most inf
-        acc = np.full((rows, c + 1, k, k), inf, dtype=w.dtype)
-        acc[:, 0] = table
-        slot = np.arange(1, c + 1)[:, None, None]
-        acc[:, slot, lp[:, :, None], rp[:, None, :]] = block.reshape(rows, c, h, r)
-        np.minimum.accumulate(acc, axis=1, out=acc)
+        acc = np.full((c + 1, k, k, rows), inf, dtype=w.dtype)
+        acc[0] = table
+        acc[np.arange(1, c + 1), lp[:, None], rp[None]] = block.reshape(h, r, c, rows)
+        # slot by slot: np.minimum.accumulate makes a strided pass per entry
+        # of a slot, which is slower as soon as a slot holds a batch
+        for i in range(c):
+            np.minimum(acc[i], acc[i + 1], out=acc[i + 1])
         sizes = _finite(acc, inf)
-        before, after = sizes[:, :-1], sizes[:, 1:]
-        n_left, n_right = n_left.reshape(rows, c), n_right.reshape(rows, c)
-        p_left, p_right = p_left.reshape(rows, c), p_right.reshape(rows, c)
+        before, after = sizes[:-1], sizes[1:]
+        n_left, n_right = n_left.reshape(c, rows), n_right.reshape(c, rows)
+        p_left, p_right = p_left.reshape(c, rows), p_right.reshape(c, rows)
         steps = np.maximum(
             np.maximum(before + p_left, before + n_left + p_right), after + n_left + n_right
         )
-        np.maximum(peak, steps.max(axis=1), out=peak)
-        table = acc[:, -1].copy()
+        np.maximum(peak, steps.max(axis=0), out=peak)
+        table = acc[-1].copy()
         held = max(held, rows * (2 * k * k + c * own) + held_left + held_right)
-    return table, after[:, -1], peak, held
+        del t_left, t_right, block, acc  # freed before the next chunk's halves
+    return table, after[-1], peak, held
 
 
 def solve_gurevich_shelah(
@@ -248,11 +252,11 @@ def solve_gurevich_shelah(
     inf = ARRAY_INF
     if w is None:
         w, inf = np.array(inst.weights, dtype=object), INF
-    table, _, peak, held = _path_tables(np.arange(n)[None], w, inf, stats)
+    table, _, peak, held = _path_tables(np.arange(n)[:, None], w, inf, stats)
     stats.peak_resident_entries = stats.sweep_peak_entries = int(peak[0])
     stats.batch_resident_entries = held
     charge("gs recursion", stats.peak_resident_entries, memory_budget)
-    best = (table[0, 0, 1:] + w[1:, 0]).min()
+    best = (table[0, 1:, 0] + w[1:, 0]).min()
     stats.wall_time = time.monotonic() - t0
     return SolveResult(value=INF if best >= inf else int(best), witness=None, stats=stats)
 

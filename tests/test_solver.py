@@ -166,45 +166,46 @@ def dict_gurevich_shelah(inst):
 
 
 def min_plus_oracle(a, b):
-    """min over u of a[i, s, u] + b[i, u, t], by a triple loop over Python values."""
-    (batch, h, m), r = a.shape, b.shape[-1]
+    """min over u of a[s, u, i] + b[u, t, i], by a triple loop over Python values."""
+    (h, m, batch), r = a.shape, b.shape[1]
     return [
-        [[min(a[i, s, u] + b[i, u, t] for u in range(m)) for t in range(r)] for s in range(h)]
-        for i in range(batch)
+        [[min(a[s, u, i] + b[u, t, i] for u in range(m)) for i in range(batch)] for t in range(r)]
+        for s in range(h)
     ]
 
 
-# (batch, h, m, r): a is (batch, h, m) and b (batch, m, r), with h != r as in
+# (h, m, r, batch): a is (h, m, batch) and b (m, r, batch), with h != r as in
 # the kernel's two stages, T_L by the weights and the result by T_R
-MIN_PLUS_SHAPES = [(1, 3, 3, 2), (1, 2, 2, 3), (5, 4, 4, 3), (5, 4, 3, 3), (3, 2, 1, 3)]
+MIN_PLUS_SHAPES = [(3, 3, 2, 1), (2, 2, 3, 1), (4, 4, 3, 5), (4, 3, 3, 5), (2, 1, 3, 3)]
 
 
 class TestMinPlus:
     @pytest.mark.parametrize("shape", MIN_PLUS_SHAPES)
     def test_int64_with_inf(self, shape):
-        # a holds up to 2 ARRAY_INF (a first stage's result) and b up to ARRAY_INF,
-        # so sums reach 3 * 2^61; batch row 0 holds nothing else and reaches it
-        batch, h, m, r = shape
+        # a holds up to 2 ARRAY_INF (a first stage's result) and b up to ARRAY_INF;
+        # in batch column 0, a's row 0 and b's column 0 hold nothing else, so
+        # out[0, 0] is 3 * 2^61
+        h, m, r, batch = shape
         rng = np.random.default_rng(sum(shape))
-        a = rng.choice([0, 1, 7, ARRAY_INF - 1, ARRAY_INF, 2 * ARRAY_INF], (batch, h, m))
-        b = rng.choice([0, 3, 9, ARRAY_INF], (batch, m, r))
-        a[0], b[0] = 2 * ARRAY_INF, ARRAY_INF
+        a = rng.choice([0, 1, 7, ARRAY_INF - 1, ARRAY_INF, 2 * ARRAY_INF], (h, m, batch))
+        b = rng.choice([0, 3, 9, ARRAY_INF], (m, r, batch))
+        a[0, :, 0], b[:, 0, 0] = 2 * ARRAY_INF, ARRAY_INF
         got = _min_plus(a, b)
-        assert got.dtype == np.int64 and got.shape == (batch, h, r)
+        assert got.dtype == np.int64 and got.shape == (h, r, batch)
         want = min_plus_oracle(a.astype(object), b.astype(object))
         assert got.tolist() == want
         assert want[0][0][0] == 3 * ARRAY_INF
 
     @pytest.mark.parametrize("shape", MIN_PLUS_SHAPES)
     def test_object_ints_past_int64(self, shape):
-        batch, h, m, r = shape
+        h, m, r, batch = shape
         rng = random.Random(sum(shape))
         big = [(1 << 62) + 5, (1 << 63) + 1, (1 << 70) + 3, 1, INF]
-        a = np.array([rng.choice(big) for _ in range(batch * h * m)], dtype=object)
-        b = np.array([rng.choice(big) for _ in range(batch * m * r)], dtype=object)
-        a, b = a.reshape(batch, h, m), b.reshape(batch, m, r)
+        a = np.array([rng.choice(big) for _ in range(h * m * batch)], dtype=object)
+        b = np.array([rng.choice(big) for _ in range(m * r * batch)], dtype=object)
+        a, b = a.reshape(h, m, batch), b.reshape(m, r, batch)
         got = _min_plus(a, b)
-        assert got.dtype == object and got.shape == (batch, h, r)
+        assert got.dtype == object and got.shape == (h, r, batch)
         assert got.tolist() == min_plus_oracle(a, b)
         assert all(type(x) is int or x == INF for x in got.flat)
 
