@@ -18,11 +18,13 @@ from .poset import edge_ends, family_layers, fan_out
 from .setsystem import SetSystem, count_maximal_chains  # noqa: F401 (bench/spans.py wraps it here)
 
 # covers are built and verified over all of S_n, and ``_ranks`` looks ranks
-# up in a table of n^(n-1) int32 entries: 8 MB at n = 8, 470 KB at n = 7
+# up in a table of n^(n-1) int32 entries: 8 MB at n = 8, 470 KB at n = 7.
+# Its float32 codes are exact while n^(n-1) <= 2^24, which holds up to
+# n = 8 (8^7 = 2^21) and fails at n = 9 (9^8 > 2^25)
 MAX_N = 8
-# permutation entries composed in one numpy pass; bounds the scratch arrays,
-# about 1 MB for verify_cover at n = 7
-_BLOCK = 1 << 18
+# codes computed in one matrix product; bounds the scratch arrays at about
+# 16 B a code (the float32 product, its intp codes, their int32 ranks), 1 MB
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -48,8 +50,13 @@ def cover_size_bound(n: int, chains: int) -> float:
 # ---------------------------------------------------------------------------
 # S_n as arrays: a permutation is a uint8 row of images, and its rank is its
 # lexicographic index, the order ``itertools.permutations`` yields.  Row r of
-# ``_all_permutations(n)`` has rank r.  Both tables are built once per n, on
-# first use.
+# ``_all_permutations(n)`` has rank r.  A permutation's code reads its first
+# n - 1 images as base-n digits, least significant first; the last image is
+# implied, so distinct permutations get distinct codes below n^(n-1), and
+# ``_rank_table`` maps codes to ranks.  Every rank the covers need, of a
+# row or of a composite, comes from one kernel, ``_ranks``: a matrix
+# product against place values, then a lookup.  The tables are built once
+# per n, on first use.
 
 
 @cache
@@ -62,25 +69,44 @@ def _all_permutations(n: int):
 @cache
 def _rank_table(n: int):
     """int32 lexicographic rank of each permutation of [n], indexed by its
-    ``_codes`` value; n^(n-1) entries, 8 MB at n = 8."""
+    code; n^(n-1) entries, 8 MB at n = 8."""
     perms = _all_permutations(n)
+    codes = perms @ _weights(np.arange(n, dtype=np.uint8)[None])
     table = np.zeros(n ** (n - 1), dtype=np.int32)
-    table[_codes(perms)] = np.arange(len(perms), dtype=np.int32)
+    table[codes[:, 0].astype(np.intp)] = np.arange(len(perms), dtype=np.int32)
     table.flags.writeable = False
     return table
 
 
-def _codes(perms):
-    """A row's first n - 1 images read as base-n digits, least significant
-    first; the last image is implied, so distinct permutations get distinct
-    codes below n^(n-1)."""
+def _inverses(perms):
+    """The inverses of the rows of a uint8 permutation table."""
+    return np.argsort(perms, axis=1).astype(np.uint8)
+
+
+def _weights(perms):
+    """Place values of the rows p_j of a uint8 permutation table, as an
+    (n, k) float32 table: entry [v, j] is n^p_j(v), and 0 where
+    p_j(v) = n - 1, the implied last digit."""
     n = perms.shape[1]
-    return perms[:, :-1] @ n ** np.arange(n - 1, dtype=np.intp)
+    place = n ** np.arange(n, dtype=np.float32)
+    place[-1] = 0
+    return place[perms.T]
 
 
-def _ranks(perms):
-    """int32 lexicographic ranks of the rows of a uint8 permutation table."""
-    return _rank_table(perms.shape[1])[_codes(perms)]
+def _ranks(rows, weights):
+    """int32 ranks of rows[i] . p_j^-1, for weights = ``_weights(p)``.
+
+    (rows[i] . p_j^-1)(t) = rows[i, v] at t = p_j(v), so its code is
+    sum_v rows[i, v] * n^p_j(v) over p_j(v) < n - 1: entry [i, j] of the
+    product ``rows @ weights``, float32 for uint8 rows.  Codes and every
+    partial sum are integers below n^(n-1) <= 8^7 = 2^21, and float32 holds
+    every integer up to 2^24, so the float32 product is exact in any order
+    of summation.  It is float32 rather than float64 because numpy converts
+    float32 to intp several times faster: 0.4 against 2.7 ms for 576 x 576
+    codes on an x86-64 VM.
+    """
+    codes = rows @ weights
+    return _rank_table(rows.shape[1]).take(codes.astype(np.intp))
 
 
 def _chain_table(a: SetSystem):
@@ -113,15 +139,14 @@ def _chain_table(a: SetSystem):
     return paths
 
 
-def _covered_ranks(perms, chains):
+def _covered_ranks(perms, through):
     """Ranks of the permutations that the rows of a uint8 table cover, in
-    blocks of rows: a block's row i lists pi_i^-1 . c over the chains c."""
-    n = chains.shape[1]
-    inverses = np.argsort(perms.reshape(-1, n), axis=1).astype(np.uint8)
-    step = max(1, _BLOCK // (len(chains) * n))
+    blocks of rows, for through = ``_weights`` of the chains' inverses: a
+    block's row i lists pi_i^-1 . c over the chains c."""
+    inverses = _inverses(perms)
+    step = max(1, _BLOCK // through.shape[1])
     for lo in range(0, len(inverses), step):
-        block = inverses[lo : lo + step][:, chains].reshape(-1, n)
-        yield _ranks(block).reshape(-1, len(chains))
+        yield _ranks(inverses[lo : lo + step], through)
 
 
 def greedy_cover(a: SetSystem) -> PermutationCover:
@@ -130,9 +155,11 @@ def greedy_cover(a: SetSystem) -> PermutationCover:
     Each candidate pi' covers S(pi') = {pi : pi'.pi is a chain of A}
     = {pi'^-1 . c : c a chain permutation}, so pi is covered by exactly the
     candidates c . pi^-1.  ``gains[r]`` counts the uncovered permutations
-    the candidate of rank r would cover; a pick covers its row and takes
-    each newly covered pi away from the gains of its c(A) candidates.  Ties
-    break toward the lexicographically smallest pi' (``np.argmax`` returns
+    the candidate of rank r would cover.  A pick's row, ``_ranks`` of
+    pi'^-1 against the place values of the chains' inverses, lists S(pi');
+    each newly covered pi is taken away from the gains of its c(A)
+    candidates, ``_ranks`` of the chains against pi's place values.  Ties
+    break toward the lexicographically smallest pi' (``argmax`` returns
     the first maximum) for reproducibility.
     """
     n = a.n
@@ -142,24 +169,24 @@ def greedy_cover(a: SetSystem) -> PermutationCover:
     if not len(chains):
         raise NoChains("set system has no maximal chain")
     perms = _all_permutations(n)
-    inverses = np.argsort(perms, axis=1).astype(np.uint8)
-    gains = np.full(len(perms), len(chains), dtype=np.int32)
+    through = _weights(_inverses(chains))
+    gains = np.full(len(perms), len(chains), dtype=np.intp)
     uncovered = np.ones(len(perms), dtype=bool)
     left = len(perms)
-    step = max(1, _BLOCK // (len(chains) * n))
+    step = max(1, _BLOCK // len(chains))
     chosen = []
     while left:
-        best = int(np.argmax(gains))
+        best = int(gains.argmax())
         chosen.append(tuple(perms[best].tolist()))
-        row = _ranks(inverses[best][chains])
+        row = _ranks(_inverses(perms[best : best + 1]), through)[0]
         fresh = row[uncovered[row]]
         uncovered[fresh] = False
         left -= len(fresh)
         if not left:  # the last pick's gains are never read
             break
         for lo in range(0, len(fresh), step):
-            lost = _ranks(chains[:, inverses[fresh[lo : lo + step]]].reshape(-1, n))
-            gains -= np.bincount(lost, minlength=len(gains)).astype(np.int32)
+            lost = _ranks(chains, _weights(perms[fresh[lo : lo + step]]))
+            gains -= np.bincount(lost.ravel(), minlength=len(gains))
     return PermutationCover(n=n, perms=tuple(chosen), certified=True)
 
 
@@ -240,13 +267,18 @@ def randomized_cover(a: SetSystem, seed: int) -> PermutationCover:
     """Certified cover from seeded uniform permutations, pruned to a minimal one.
 
     Permutations are drawn in blocks of ceil(n!/c(A)), the fewest a cover
-    can hold, until their covered ranks mark all of S_n.  Reverse
-    deletion then walks the draws from last to first and drops each one
-    whose every covered permutation is still covered by another kept draw;
-    a kept draw covers some permutation no other kept draw does, so no
-    member can be dropped.  A draw covers exactly c(A) permutations, so
-    when the covered sets partition S_n (a tower's chains form a Young
-    subgroup and they are its cosets) the cover has exactly n!/c(A) members.
+    can hold, until their covered ranks mark all of S_n.  Reverse deletion
+    then walks the draws from last to first and drops each one whose every
+    covered permutation is still covered by another kept draw.  It visits
+    only the first coverers, the draws that are the lowest-index coverer of
+    some permutation.  Any other draw is always dropped: every permutation
+    it covers has a lower-index coverer, still present at its turn.  A
+    first coverer is kept iff some permutation it covered first is covered
+    by no kept later draw, since no earlier draw covers that one.  A kept
+    draw covers some permutation no other kept draw does, so no member can
+    be dropped.  A draw covers exactly c(A) permutations, so when the
+    covered sets partition S_n (a tower's chains form a Young subgroup and
+    they are its cosets) the cover has exactly n!/c(A) members.
     """
     n = a.n
     if n > MAX_N:
@@ -255,22 +287,30 @@ def randomized_cover(a: SetSystem, seed: int) -> PermutationCover:
     if not len(chains):
         raise NoChains("set system has no maximal chain")
     rng = SplitMix64(seed)
+    through = _weights(_inverses(chains))
     batch = -(-factorial(n) // len(chains))
     marked = np.zeros(factorial(n), dtype=bool)
     batches, blocks = [], []
     while not marked.all():
         batches.append(random_permutations(n, batch, rng))
-        for covered in _covered_ranks(batches[-1], chains):
+        for covered in _covered_ranks(batches[-1], through):
             marked[covered] = True
             blocks.append(covered)
-    drawn = np.vstack(batches)
-    rows = np.vstack(blocks)
-    counts = np.bincount(rows.ravel(), minlength=len(marked))
-    keep = np.ones(len(drawn), dtype=bool)
-    for i in range(len(drawn) - 1, -1, -1):
-        if counts[rows[i]].min() > 1:
-            counts[rows[i]] -= 1
-            keep[i] = False
+    drawn, rows = np.vstack(batches), np.vstack(blocks)
+    del batches, blocks
+    first = np.full(len(marked), len(rows), dtype=np.int32)
+    draws = np.arange(len(rows), dtype=np.int32)
+    np.minimum.at(first, rows.ravel(), draws.repeat(len(chains)))
+    # the permutations each first coverer covered first, as runs of ``order``
+    order = np.argsort(first)
+    owners, starts = np.unique(first[order], return_index=True)
+    ends = [*starts[1:].tolist(), len(order)]
+    covered = np.zeros(len(marked), dtype=bool)
+    keep = np.zeros(len(drawn), dtype=bool)
+    for i, lo, hi in zip(owners[::-1].tolist(), starts[::-1].tolist(), ends[::-1]):
+        if not covered[order[lo:hi]].all():
+            keep[i] = True
+            covered[rows[i]] = True
     perms = tuple(map(tuple, drawn[keep].tolist()))
     return PermutationCover(n=n, perms=perms, certified=True)
 
@@ -291,7 +331,8 @@ def verify_cover(a: SetSystem, cover: PermutationCover) -> bool:
     chains = _chain_table(a)
     if not len(chains):
         return False
+    members = np.array(cover.perms, dtype=np.uint8).reshape(-1, n)
     marked = np.zeros(factorial(n), dtype=bool)
-    for covered in _covered_ranks(np.array(cover.perms, dtype=np.uint8), chains):
+    for covered in _covered_ranks(members, _weights(_inverses(chains))):
         marked[covered] = True
     return bool(marked.all())
