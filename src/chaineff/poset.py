@@ -8,6 +8,7 @@ tests require them to agree bit-for-bit wherever more than one applies.
 from __future__ import annotations
 
 import os
+from functools import partial
 from graphlib import CycleError, TopologicalSorter
 from itertools import permutations
 from math import factorial
@@ -410,9 +411,10 @@ def enumerate_ideals(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):
 #: (three offset sets, 2-core VM) the transfer trace measured fastest at
 #: 2^17-2^19 (48-52 ms), 59-63 ms at 2^16 and 60-80 ms at 2^20-2^21; the
 #: bipartite sum over distinct ORs took 33-42 ms from 2^15 to 2^20 and
-#: 55-65 ms at 2^21.  Each kernel peaks at about two blocks.  The F(S, t)
+#: 55-65 ms at 2^21.  Each kernel peaks at about two blocks.  The insertion
 #: kernel gathers one block of limbs at a time; on circulant:22:0,1,2,4,9
-#: orbit took 272-290 ms from 2^15 to 2^19 and 294-304 ms at 2^20-2^21.
+#: orbit took 209-242 ms from 2^15 to 2^19, 221-258 ms at 2^20 and
+#: 250-273 ms at 2^21.
 #: gs (``solver``) also sizes its chunks of splits by it: at N = 10-12 a
 #: solve took 55-65% of its time under a 2^15 cap (in process, same VM).
 _BLOCK_ENTRIES = 1 << 19
@@ -645,76 +647,119 @@ def count_ideals_and_extensions(p: Poset, memory_budget: int = DEFAULT_MEMORY_BU
     return count_layer_chains(_ideal_layers(p, memory_budget))
 
 
+def count_by_insertion(p: Poset, memory_budget: int = DEFAULT_MEMORY_BUDGET):
+    """(alpha, lambda) of p from one walk of J(P'), the ideals of p less its
+    maximal elements Y, which ``_prefix_dp`` inserts: an ideal of p is an
+    ideal I of P' with any subset of the e(I) elements of Y it releases, so
+    alpha = sum_I 2^e(I).  An antichain gives (2^n, n!)."""
+    top = [v for v in range(p.n) if not p.succ_mask[v]]
+    rest = [v for v in range(p.n) if p.succ_mask[v]]
+    succ = _neighbor_masks(rest, rest, p.succ_mask)
+    needs = _neighbor_masks(top, rest, p.pred_mask)
+    hist, lam = _prefix_dp(len(rest), succ, needs, memory_budget, "insertion")
+    return sum(count << e for e, count in enumerate(hist)), lam
+
+
 def _count_extensions_ideal_dp(p: Poset, memory_budget: int) -> int:
     return count_ideals_and_extensions(p, memory_budget)[1]
 
 
-def _prefix_dp(nx: int, needs, canon, memory_budget: int, name: str) -> int:
-    """Linear extensions of a bipartite poset by the F(S, t) recurrence.
+def _prefix_dp(nx: int, succ, needs, memory_budget: int, name: str, canon=None):
+    """(histogram, lambda): the linear extensions of a poset P by inserting
+    its maximal elements Y into the orders of the rest rather than tracking
+    them, and without ``canon`` the ideals of P' = P - Y by e.
 
-    The lower side X has ``nx`` elements and each upper element y has the
-    bitmask ``needs[y]`` of its predecessors in X.  F(S, t) counts the
-    partial extensions whose first |S| + t positions hold exactly S from X
-    and t of the e(S) elements of Y whose needs lie in S:
-    F(S, t) = sum_{x not in S} F(S + x, t) + (e(S) - t) F(S, t + 1)
-    for t <= e(S), and F(X, t) = (|Y| - t)!.  Returns F({}, 0).
+    P' has ``nx`` elements, ``succ[b]`` the bitmask of b's strict successors
+    in P', and each y the bitmask ``needs[y]`` of its predecessors, all in P'
+    since y is maximal.  For an ideal I of P', e(I) counts the y whose needs
+    lie in I, and F(I) is the number of linear extensions of P - I.  With
+    N = |P| and D(I) = |P' - I| + |Y| - e(I),
+
+        F(I) = (N - |I|) / D(I) * sum_{x: I + x in J(P')} F(I + x),
+
+    F(P') = |Y|! and lambda = F({}).  Let R(I) be P - I less the e(I)
+    released y, which are isolated in P - I; it has D(I) elements.  An
+    isolated element of a k-element poset has k places, so
+    F(I) = (N - |I|)! / D(I)! * L(R(I)), L counting linear extensions.  The
+    minimal elements of R(I) are the x, and R(I) - x is P - (I + x) less
+    the same e(I) elements, so L(R(I) - x) = (D(I) - 1)! / (N - |I| - 1)!
+    * F(I + x); summing over x gives the recurrence.  The division is
+    exact: the sum times N - |I| is D(I) F(I), and F(I) counts extensions.
+    D(I) >= 1 below P', which keeps an x.
 
     ``canon`` maps an array of masks to their class representatives, and F
-    must be constant on each class: the identity keeps every set, a rotation
-    keeps one per orbit, so a class holds at most nx sets.  Layers run by
-    |S| descending with two resident, each class S holding
-    H(S, t) = |class(S)| F(S, t).  Counting the pairs (S', x) with S' in the
-    class of S, |class(S)| sum_x F(S + x, t) is the sum of H(P, t) over the
-    down edges into S: each class P of the layer above and each b in P with
-    canon(P - b) = S.  So a layer is summed along those edges alone, and the
-    recurrence in t, linear per class, carries over to H.  X and {} are
-    classes of one set, so H({}, 0) is the answer.
+    must be constant on each class: None keeps every ideal, a rotation of
+    an antichain P' keeps one per orbit, so a class holds at most nx sets.
+    Layers run by |I| descending with two resident, each class I holding
+    H(I) = |class(I)| F(I).  Counting the pairs (I', x) with I' in the class
+    of I, |class(I)| sum_x F(I + x) is the sum of H(Q) over the down edges
+    into I: each class Q of the layer above and each b maximal in Q (no
+    successor of b in Q) with canon(Q - b) = I.  So a layer is summed along
+    those edges alone, and the factor N - |I| and the division by D(I),
+    constant per class, carry over to H.  P' and {} are classes of one set,
+    so H({}) is lambda.  Without ``canon`` the histogram counts the ideals I
+    of P' by e(I), so alpha(P), the sum of 2^e(I), is finished from it (an
+    ideal of P is an I with any subset of the y it releases); with
+    ``canon`` it is None.  e is summed one y at a time.
 
-    H is held exactly in base-2^32 limbs, a (limbs, t, classes) uint64
-    array.  The t step multiplies by max(e(S) - t, 0), so a column t > e(S)
-    holds only the sum of its parents' columns t, which no column
-    t <= e(S) reads.  Every column, those included, then has
-    F(S, t) <= (|X| + |Y| - |S| - t)!, so H <= nx (|X| + |Y| - |S|)! fixes
-    a layer's limb count (the rows it adds to the layer above's start at
-    zero), and ``_carry`` never carries out of the top limb.  A child has
-    at most 64^2 edges in, so its uncarried sums stay below 2^44; each
-    column is carried in place after its step.  The edges out of a layer
-    are counted and charged ``_EDGE_BYTES`` apiece, beside h, before they
-    are built.  Then the classes of two layers are charged against the
-    budget, and against physical memory the limbs that summing the layer
-    holds: h, the new layer's H, one gather block with its sums, and the
-    edges' parent indices.
+    H is held exactly in base-2^32 limbs, a (limbs, classes) uint64 array.
+    Before the division a class holds |class(I)| D(I) F(I), at most
+    |class| (N - |I|)! (N - |I|), which fixes a layer's limb count (the rows
+    it adds to the layer above's start at zero), so ``_carry`` never carries
+    out of the top limb.  A child has at most 64^2 edges in and
+    N - |I| <= 64, so the uncarried product stays below 2^50.  The division
+    runs limb by limb from the top, each dividend below 2^38 as the
+    remainder is below D(I) <= 64, and a nonzero final remainder raises an
+    internal error.  A class of k + 1 elements has at most k + 1 down edges
+    out, exactly that many when P' is an antichain, so a layer's edges are
+    charged ``_EDGE_BYTES`` apiece by that bound, beside h, before they are
+    built.  Then the classes of two layers are charged against the budget,
+    and against physical memory the limbs that summing the layer holds: h,
+    the new layer's H, one gather block with its sums, the edges' parent
+    indices and three working rows (D, the remainder and its shift).
     """
-    ny = len(needs)
+    ny, n = len(needs), nx + len(needs)
     needs = np.array(needs, dtype=np.uint64)
     bits = np.uint64(1) << np.arange(nx, dtype=np.uint64)
+    reach = np.array(succ, dtype=np.uint64) | bits  # b is maximal in I iff I & reach == b
+    period = 1 if canon is None else nx
     masks = np.array([(1 << nx) - 1], dtype=np.uint64)
-    h = np.array(
-        [[[factorial(ny - t) >> (_LIMB_BITS * l) & int(_LIMB_MASK)] for t in range(ny + 1)]
-         for l in range(_limbs_for(nx * factorial(ny)))],
-        dtype=np.uint64,
-    )
+    top = factorial(ny)
+    h = np.array([[top >> (_LIMB_BITS * l) & int(_LIMB_MASK)] for l in range(_limbs_for(top))],
+                 dtype=np.uint64)
+    hist = np.zeros(ny + 1, dtype=np.int64)
+    hist[ny] = 1
     for k in range(nx - 1, -1, -1):
-        edges = int(np.bitwise_count(masks).sum())
-        nbytes = _EDGE_BYTES * edges + h.nbytes
-        charge(f"{name} layer ({edges} edges)", masks.size, memory_budget, nbytes)
+        edges = (k + 1) * masks.size
+        charge(f"{name} layer ({edges} edges)", masks.size, memory_budget,
+               _EDGE_BYTES * edges + h.nbytes)
         # the classes one element smaller, each with its down edges in
-        ok = [np.flatnonzero(masks & b) for b in bits]
-        cand = canon(np.concatenate([masks[at] & ~b for at, b in zip(ok, bits)]))
+        ok = [((masks & r) == b).nonzero()[0] for r, b in zip(reach, bits)]
+        cand = np.concatenate([masks[at] & ~b for at, b in zip(ok, bits)])
+        if canon is not None:
+            cand = canon(cand)
         new, src, starts = _merge_children(cand, ok)
-        e = ((new[:, None] & needs) == needs).sum(axis=1)
-        width = int(e.max()) + 1  # no superset has a smaller e, so h is as wide
-        rows = _limbs_for(nx * factorial(nx + ny - k))
-        gather = min(_BLOCK_ENTRIES, h.shape[0] * width * src.size)
-        limbs = h.size + rows * width * new.size + 2 * gather + src.size
+        rows = _limbs_for(period * factorial(n - k) * (n - k))
+        gather = min(_BLOCK_ENTRIES, h.shape[0] * src.size)
+        limbs = h.size + (rows + 3) * new.size + 2 * gather + src.size
         charge(f"{name} layer", new.size + masks.size, memory_budget, 8 * limbs)
-        g = _edge_sums(h[:, :width], src, starts, rows)
-        _carry(g[:, -1])
-        for t in range(width - 2, -1, -1):
-            g[:, t] += np.maximum(e - t, 0).astype(np.uint64) * g[:, t + 1]
-            _carry(g[:, t])
+        e = np.zeros(new.size, dtype=np.uint8)
+        for need in needs:  # one y at a time, with no (classes, |Y|) array
+            e += (new & need) == need
+        if canon is None:
+            hist += np.bincount(e, minlength=ny + 1)
+        g = _edge_sums(h, src, starts, rows)
+        g *= np.uint64(n - k)
+        _carry(g)
+        d = np.uint64(nx - k + ny) - e
+        rem = np.zeros(new.size, dtype=np.uint64)
+        for row in g[::-1]:
+            row |= rem << np.uint64(_LIMB_BITS)
+            np.divmod(row, d, out=(row, rem))
+        if rem.any():
+            raise RuntimeError(f"{name}: a layer's sum is not a multiple of D(I)")
         masks, h = new, g
-    return _limbs_total(h[:, 0])
+    return (None if canon is not None else hist.tolist()), _limbs_total(h)
 
 
 def _limbs_for(bound: int) -> int:
@@ -723,17 +768,16 @@ def _limbs_for(bound: int) -> int:
 
 
 def _edge_sums(h, src, starts, rows):
-    """(rows, width, children): the sums of the parent columns ``src`` of
-    ``h`` over the runs of edges opening at ``starts``, one ``reduceat`` per
-    limb and block of children whose edges hold at most ``_BLOCK_ENTRIES``
-    limbs; the ``rows`` past h's limbs are zero."""
-    limbs, width, _ = h.shape
-    out = np.zeros((rows, width, starts.size), dtype=np.uint64)
+    """(rows, children): the sums of the parent columns ``src`` of ``h`` over
+    the runs of edges opening at ``starts``, one gather and one ``reduceat``
+    per block of children whose edges hold at most ``_BLOCK_ENTRIES`` limbs;
+    the ``rows`` past h's limbs are zero."""
+    limbs = h.shape[0]
+    out = np.zeros((rows, starts.size), dtype=np.uint64)
     bounds = np.append(starts, src.size)
-    for lo, hi in _edge_blocks(bounds, max(1, _BLOCK_ENTRIES // (limbs * width))):
+    for lo, hi in _edge_blocks(bounds, max(1, _BLOCK_ENTRIES // limbs)):
         edges, runs = src[bounds[lo] : bounds[hi]], starts[lo:hi] - bounds[lo]
-        for l in range(limbs):  # h[l] is contiguous where h, cut to a width, is not
-            np.add.reduceat(h[l].take(edges, axis=1), runs, axis=1, out=out[l, :, lo:hi])
+        np.add.reduceat(h.take(edges, axis=1), runs, axis=1, out=out[:limbs, lo:hi])
     return out
 
 
@@ -749,12 +793,12 @@ def _edge_blocks(bounds, step):
 
 
 def _count_extensions_bipartite_fst(p: Poset, memory_budget: int) -> int:
-    """The F(S, t) recurrence over every subset S of the lower side."""
+    """The insertion recurrence over every subset S of the lower side."""
     x_side, y_side = p.bipartition()
     nx = len(x_side)
     charge(f"2^{nx} subset table", 1 << nx, memory_budget)
     needs = _neighbor_masks(y_side, x_side, p.cover_down)
-    return _prefix_dp(nx, needs, lambda masks: masks, memory_budget, "bipartite-fst")
+    return _prefix_dp(nx, [0] * nx, needs, memory_budget, "bipartite-fst")[1]
 
 
 def _canonical_rotation(arr, m):
@@ -776,15 +820,16 @@ def _canonical_rotation(arr, m):
 
 
 def _count_extensions_orbit(p: CirculantBipartitePoset, memory_budget: int) -> int:
-    """The F(S, t) recurrence over rotation classes of S.
+    """The insertion recurrence over rotation classes of S.
 
     The circulant poset is invariant under simultaneous rotation of both
-    sides, so F(S, t) depends only on the rotation class of S.
+    sides, so F(S) depends only on the rotation class of S.
     """
     m = p.m
     # y_j (element m + j) needs x_{(j + d) mod m} for each d in D
     needs = _neighbor_masks(range(m, 2 * m), range(m), p.cover_down)
-    return _prefix_dp(m, needs, lambda masks: _canonical_rotation(masks, m), memory_budget, "orbit")
+    rotate = partial(_canonical_rotation, m=m)
+    return _prefix_dp(m, [0] * m, needs, memory_budget, "orbit", rotate)[1]
 
 
 #: Extension-counting methods: name -> kernel(p, memory_budget).

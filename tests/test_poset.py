@@ -22,6 +22,7 @@ from chaineff.poset import (
     IDEAL_METHODS,
     Poset,
     closed_form_matching_complement,
+    count_by_insertion,
     count_ideals,
     count_ideals_and_extensions,
     count_linear_extensions,
@@ -699,25 +700,34 @@ class TestLayerKernel:
         assert count_ideals_and_extensions(p, memory_budget=alpha) == (alpha, lam)
 
     @pytest.mark.parametrize(
-        "call",
+        "call,lattice_walks,insertion_walks",
         [
-            lambda: cli.run(["verify", "counterexample"]) == 0,
-            lambda: poset_efficiency(make_bucket_order(4, 3)).inv_eta == "4.52308665836",
+            # J(P') of the counterexample, its 18 elements that are not
+            # maximal, and no walk of J(P)
+            (lambda: cli.run(["verify", "counterexample"]) == 0, [], [18]),
+            (lambda: poset_efficiency(make_bucket_order(4, 3)).inv_eta == "4.52308665836", [12], []),
         ],
         ids=["verify-counterexample", "efficiency-bucket4x3"],
     )
-    def test_alpha_and_lambda_take_one_lattice_walk(self, monkeypatch, capsys, call):
-        walks = []
-        walk = chaineff.poset._ideal_layers
+    def test_alpha_and_lambda_take_one_lattice_walk(
+        self, monkeypatch, capsys, call, lattice_walks, insertion_walks
+    ):
+        walks = {"lattice": [], "insertion": []}
+        lattice, insertion = chaineff.poset._ideal_layers, chaineff.poset._prefix_dp
 
-        def counted(*args):
-            walks.append(args)
-            return walk(*args)
+        def counted_lattice(p, *args, **kwargs):
+            walks["lattice"].append(p.n)
+            return lattice(p, *args, **kwargs)
 
-        monkeypatch.setattr(chaineff.poset, "_ideal_layers", counted)
+        def counted_insertion(nx, *args, **kwargs):
+            walks["insertion"].append(nx)
+            return insertion(nx, *args, **kwargs)
+
+        monkeypatch.setattr(chaineff.poset, "_ideal_layers", counted_lattice)
+        monkeypatch.setattr(chaineff.poset, "_prefix_dp", counted_insertion)
         assert call()
         capsys.readouterr()
-        assert len(walks) == 1
+        assert walks == {"lattice": lattice_walks, "insertion": insertion_walks}
 
     @pytest.mark.parametrize("seed", range(12))
     def test_limbs_match_object_kernel_on_posets(self, seed):
@@ -878,8 +888,8 @@ class TestExtensionCounting:
 
 
 class TestPrefixKernel:
-    """bipartite-fst and orbit share one F(S, t) kernel; checked against the
-    dict DP, brute force and the ideal DP, and at their budgets."""
+    """bipartite-fst and orbit share one insertion kernel; checked against
+    the dict F(S, t) DP, brute force and the ideal DP, and at their budgets."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_random_bipartite_matches_oracles(self, seed):
@@ -942,8 +952,9 @@ class TestPrefixKernel:
 
     @pytest.mark.parametrize("method", ["orbit", "bipartite-fst"])
     def test_no_column_outgrows_its_limbs(self, monkeypatch, method):
-        # every column of H, the junk past e(S) included, stays under the
-        # bound that fixes a layer's limbs, so no carry leaves the top limb
+        # each layer carries its one column of H once, after the factor
+        # N - |S| and before the division, and that product stays under the
+        # bound that fixes the layer's limbs, so no carry leaves the top limb
         real, grew = chaineff.poset._carry, []
 
         def watch(limbs):
@@ -952,9 +963,10 @@ class TestPrefixKernel:
             return out
 
         monkeypatch.setattr(chaineff.poset, "_carry", watch)
-        for m, offsets in [(13, (0, 3)), (12, (0, 4, 8)), (9, (0, 1, 3)), (7, (0, 1, 2, 3, 4, 5, 6))]:
+        cases = [(13, (0, 3)), (12, (0, 4, 8)), (9, (0, 1, 3)), (7, (0, 1, 2, 3, 4, 5, 6))]
+        for m, offsets in cases:
             count_linear_extensions(make_circulant(m, offsets), method)
-        assert grew and not any(grew)
+        assert len(grew) == sum(m for m, _ in cases) and not any(grew)
 
     @pytest.mark.parametrize("block", [1, 7, 40, 333])
     @pytest.mark.parametrize("method", ["orbit", "bipartite-fst"])
@@ -1017,9 +1029,10 @@ class TestPrefixKernel:
             count_linear_extensions(p, method)
 
     def test_layer_limbs_past_physical_memory_are_refused(self, monkeypatch):
-        # circulant:22:0 holds its widest layer's limbs in about 50 MB, of
-        # which its edges are a quarter
-        monkeypatch.setattr(chaineff.poset, "physical_bytes", lambda: 16_000_000)
+        # circulant:22:0 charges at most 15.4 MB for a layer's edges and
+        # 14.4 MB for its limbs; the limbs of the layer of 12 elements
+        # (13.1 MB) pass 13 MB before any edges do
+        monkeypatch.setattr(chaineff.poset, "physical_bytes", lambda: 13_000_000)
         refusal = r"^orbit layer needs \d+ bytes, over physical memory$"
         with pytest.raises(ResourceLimit, match=refusal):
             count_linear_extensions(make_circulant(22, (0,)), "orbit")
@@ -1051,6 +1064,96 @@ class TestPrefixKernel:
     def test_method_mismatch_messages(self, count, method, text):
         with pytest.raises(MethodMismatch, match=text):
             count(make_chain(4), method)
+
+
+def lower_part(p):
+    """P' = p less its maximal elements, relabelled in order, as a Poset of
+    at least one element, and its element count (0 for an antichain)."""
+    rest = [v for v in range(p.n) if p.succ_mask[v]]
+    at = {v: i for i, v in enumerate(rest)}
+    covers = [(at[u], at[v]) for u, v in p.covers if u in at and v in at]
+    return Poset(max(1, len(rest)), covers), len(rest)
+
+
+class TestInsertion:
+    """(alpha, lambda) of any poset from the ideals of P' = P - Y, its
+    maximal elements Y inserted, against the walk of J(P), brute force and
+    the closed forms."""
+
+    @settings(max_examples=150)
+    @given(posets(max_n=14))
+    def test_matches_lattice_and_ideal_dp_property(self, p):
+        alpha, lam = count_by_insertion(p)
+        assert alpha == count_ideals(p, "lattice")
+        assert lam == count_linear_extensions(p, "ideal-dp")
+        if p.n <= 8:
+            assert lam == count_linear_extensions(p, "brute")
+            assert alpha == brute_ideals(p)
+
+    @settings(max_examples=60)
+    @given(st.integers(1, 8), st.integers(0, 8), st.floats(0, 1), st.randoms(use_true_random=False))
+    def test_bipartite_matches_oracles_property(self, nx, ny, density, rng):
+        # |X| != |Y| and isolated elements, which land in Y
+        p = random_bipartite(rng, nx, ny, density)
+        alpha, lam = count_by_insertion(p)
+        assert alpha == count_ideals(p, "lattice") == count_ideals(p, "bipartite-sum")
+        assert lam == count_linear_extensions(p, "ideal-dp")
+        assert lam == count_linear_extensions(p, "bipartite-fst")
+        if p.n <= 8:
+            assert (alpha, lam) == (brute_ideals(p), brute_extensions(p))
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 20, 64])
+    def test_antichain_has_no_lower_part(self, n):
+        # P' is empty: alpha = 2^n, past uint64 at n = 64, and lambda = n!
+        assert count_by_insertion(make_antichain(n)) == (1 << n, factorial(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 9, 64])
+    def test_chain(self, n):
+        assert count_by_insertion(make_chain(n)) == (n + 1, 1)
+
+    @pytest.mark.parametrize("t,k", [(1, 5), (3, 3), (13, 2), (4, 4), (10, 4)])
+    def test_bucket_orders(self, t, k):
+        # a bucket order has (2^t - 1) k + 1 ideals and (t!)^k extensions
+        assert count_by_insertion(make_bucket_order(t, k)) == ((2**t - 1) * k + 1, factorial(t) ** k)
+
+    def test_isolated_elements_and_a_dummy_chain(self):
+        # 0 and 5 are isolated, 6 < 7 < 8 is a chain of height three
+        p = Poset(9, [(1, 3), (2, 3), (2, 4), (6, 7), (7, 8)])
+        assert count_by_insertion(p) == (brute_ideals(p), brute_extensions(p))
+
+    def test_counterexample(self):
+        p = make_counterexample()
+        assert count_by_insertion(p) == (260553, 131576429145341435860520294400)
+        assert lower_part(p)[1] == 18
+
+    @pytest.mark.parametrize("m,offsets", [(7, (0, 1, 3)), (10, (0, 1, 4, 7)), (12, (0, 4, 8))])
+    def test_circulants_match_every_method(self, m, offsets):
+        p = make_circulant(m, offsets)
+        alpha, lam = count_by_insertion(p)
+        assert alpha == count_ideals(p, "bipartite-sum") == count_ideals(p, "circulant-transfer")
+        assert lam == count_linear_extensions(p, "orbit") == count_linear_extensions(p, "ideal-dp")
+
+    @pytest.mark.parametrize(
+        "poset",
+        [make_counterexample, lambda: make_bucket_order(13, 2), lambda: make_circulant(9, (0, 2))],
+        ids=["counterexample", "bucket13x2", "circulant9"],
+    )
+    def test_budget_is_two_layers_of_lower_ideals(self, poset):
+        p = poset()
+        lower, nx = lower_part(p)
+        sizes = np.bincount(np.bitwise_count(np.array(enumerate_ideals(lower), dtype=np.uint64)))
+        need = max(int(a + b) for a, b in zip(sizes[: nx + 1], sizes[1 : nx + 1]))
+        counts = count_by_insertion(p)
+        assert count_by_insertion(p, memory_budget=need) == counts
+        with pytest.raises(ResourceLimit, match=rf"^insertion layer needs {need} resident"):
+            count_by_insertion(p, memory_budget=need - 1)
+
+    def test_a_wrong_count_trips_the_remainder_check(self, monkeypatch):
+        # F(P') = |Y|! + 1 is no count of extensions, and some division by
+        # D(I) leaves a remainder
+        monkeypatch.setattr(chaineff.poset, "factorial", lambda k: factorial(k) + 1)
+        with pytest.raises(RuntimeError, match="not a multiple of D"):
+            count_by_insertion(make_counterexample())
 
 
 def test_runs_without_scipy(monkeypatch):
